@@ -376,7 +376,7 @@ def cmd_mc(rc: RunConfig) -> int:
     report.update(stats.to_json_dict())
     _write_json(report, os.path.join(rc.out_dir, "stats.json"))
     stats.to_csv(os.path.join(rc.out_dir, "stats.csv"))
-    return EXIT_OK
+    return EXIT_OK if all(r.valid for r in stats.records) else EXIT_CHECK
 
 
 def cmd_kernel_check(rc: RunConfig) -> int:

@@ -1,9 +1,12 @@
 """Scaling schedules, deviation fields, and Monte Carlo deviation statistics.
 
-The MC engine steps paths in lockstep batches of a fixed chunk size, so a
-run is reproducible bit-for-bit for a given master seed regardless of how
-many worker threads execute the chunks: each chunk is a pure function of
-(master_seed, path indices) and results are merged in chunk order.
+The MC engine steps paths in lockstep batches through the solvers'
+stepping engine.  A chunk of paths draws its sheets once and steps every
+eps of the grid in one batch (rows eps-major, each sheet broadcast over
+eps); a running max|u| per row applies the sup-norm guard.  A run is
+reproducible bit-for-bit for a given master seed regardless of how many
+worker threads execute the chunks: each chunk is a pure function of
+(master_seed, path indices) and results are merged per eps in chunk order.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ from .solvers import (
     SUP_GUARD,
     SigmaSpec,
     SolverConfig,
+    _march,
     flux_divergence,
     heat_factor,
     heat_solve,
@@ -159,7 +163,7 @@ class EpsRecord:
     ci_low: float
     ci_high: float
     moments_u: tuple  # ((q, E sup_t ||u_eps||_2^q), ...)
-    moments_dev: tuple  # ((q, E sup_t ||u_eps - u_det||_2^q / a^q), ...)
+    moments_dev: tuple  # ((q, E sup_t ||u_eps - u_det||_2^q), ...), unscaled
     neg_log_p_over_h2: float
     failed_fraction: float
     n_paths: int
@@ -175,8 +179,8 @@ class EpsRecord:
             "p_hat": self.p_hat,
             "ci_low": self.ci_low,
             "ci_high": self.ci_high,
-            "moments_u": {str(q): val for q, val in self.moments_u},
-            "moments_dev": {str(q): val for q, val in self.moments_dev},
+            "moments_u": {str(q): _num(val) for q, val in self.moments_u},
+            "moments_dev": {str(q): _num(val) for q, val in self.moments_dev},
             "neg_log_p_over_h2": _num(self.neg_log_p_over_h2),
             "failed_fraction": self.failed_fraction,
             "n_paths": self.n_paths,
@@ -254,41 +258,41 @@ def _gather_sheets(g: Grid, master_seed: int, indices) -> np.ndarray:
 def _run_paths_chunk(
     u0_vals: np.ndarray,
     g: Grid,
-    eps: float,
+    eps_values,
     sigma: SigmaSpec,
     dWs: np.ndarray,
     udet_frames: np.ndarray,
     factor,
 ) -> tuple:
-    """Step a batch of paths in lockstep; per-path running sup statistics.
+    """Step every (eps, sheet) pair of a chunk in one lockstep batch.
 
-    Returns (sup_u, sup_diff, alive): per-path sup_t of the solution's
-    L2 norm, sup_t of ||u - u_det||_2 (unscaled), and a stability mask.
-    The arithmetic per path matches solve_spde exactly: the banded solve
-    processes right-hand-side columns independently.
+    Rows are eps-major; each sheet is broadcast over eps, never copied.
+    Returns (sup_u, sup_diff, alive), each (len(eps_values), B): per-path
+    sup_t of the solution's L2 norm, sup_t of ||u - u_det||_2 (unscaled),
+    and the sup-norm guard.  The arithmetic per path matches solve_spde:
+    the banded solve treats right-hand-side columns independently.
     """
-    B = dWs.shape[0]
+    E, B = len(eps_values), dWs.shape[0]
     w_space = g.space_weights()
-    sqrt_eps = np.sqrt(eps)
-    U = np.tile(u0_vals, (B, 1))
-    alive = np.ones(B, dtype=bool)
+    sqrt_eps = np.sqrt(np.asarray(eps_values, dtype=float))[:, None, None]
+
+    def rhs(k, U):
+        sig = sigma(U[:, 1:-1]).reshape(E, B, -1)
+        noise = (sqrt_eps * sig * dWs[:, k, :] / g.dx).reshape(E * B, -1)
+        return U[:, 1:-1] + g.dt * flux_divergence(U, g.dx) + noise
+
+    U = np.tile(u0_vals, (E * B, 1))
+    peak = np.zeros(E * B)
     sup_u = np.sqrt((U**2) @ w_space)
-    sup_diff = np.zeros(B)
-    for k in range(g.nt):
-        noise = sqrt_eps * sigma(U[:, 1:-1]) * dWs[:, k, :] / g.dx
-        rhs = U[:, 1:-1] + g.dt * flux_divergence(U, g.dx) + noise
-        sol = heat_solve(factor, rhs.T).T
-        with np.errstate(invalid="ignore"):
-            bad = ~np.isfinite(sol).all(axis=1) | (np.abs(sol).max(axis=1) > SUP_GUARD)
-        if bad.any():
-            alive &= ~bad
-            sol[~alive] = 0.0
-        U = np.zeros((B, g.nx + 1))
-        U[:, 1:-1] = sol
-        np.maximum(sup_u, np.sqrt((U**2) @ w_space), out=sup_u)
-        diff = U - udet_frames[k + 1]
-        np.maximum(sup_diff, np.sqrt((diff**2) @ w_space), out=sup_diff)
-    return sup_u, sup_diff, alive
+    sup_diff = np.zeros(E * B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # heat_solve under this module's name: a wrapper on it sees every step
+        for n, U in _march(factor, U, g.nt, rhs, heat_solve):
+            np.maximum(peak, np.abs(U).max(axis=1), out=peak)
+            np.maximum(sup_u, np.sqrt((U**2) @ w_space), out=sup_u)
+            diff = U - udet_frames[n]
+            np.maximum(sup_diff, np.sqrt((diff**2) @ w_space), out=sup_diff)
+    return sup_u.reshape(E, B), sup_diff.reshape(E, B), (peak <= SUP_GUARD).reshape(E, B)
 
 
 def _importance_pass(
@@ -330,11 +334,11 @@ def _importance_pass(
     for indices in _chunk_indices(mc.n_paths):
         base = _gather_sheets(g, mc.master_seed, indices)
         logw = -h_val * np.einsum("bkj,kj->b", base, v_vals) - 0.5 * h_val**2 * ht2
-        sup_u, sup_diff, alive = _run_paths_chunk(
-            u0.values, g, eps, sigma, base + shift, u_det.frames, factor
+        _, sup_diff, alive = _run_paths_chunk(
+            u0.values, g, (eps,), sigma, base + shift, u_det.frames, factor
         )
-        hit = (sup_diff / a_val > mc.threshold) & alive
-        weighted.append(np.where(alive, np.exp(logw) * hit, np.nan))
+        hit = (sup_diff[0] / a_val > mc.threshold) & alive[0]
+        weighted.append(np.where(alive[0], np.exp(logw) * hit, np.nan))
     w = np.concatenate(weighted)
     w = w[np.isfinite(w)]
     n = w.size
@@ -366,23 +370,22 @@ def mc_run(
         raise DimensionError("initial condition lives on a different grid")
     u_det = solve_deterministic(u0, g, cfg)
     factor = heat_factor(g)
-    chunks = _chunk_indices(mc.n_paths)
 
-    def _work(indices):
+    def chunk_stats(indices):
         dWs = _gather_sheets(g, mc.master_seed, indices)
-        return _run_paths_chunk(u0.values, g, eps, sigma, dWs, u_det.frames, factor)
+        return _run_paths_chunk(u0.values, g, mc.eps_grid, sigma, dWs, u_det.frames, factor)
+
+    chunks = _chunk_indices(mc.n_paths)
+    if mc.threads > 1:
+        with ThreadPoolExecutor(max_workers=mc.threads) as pool:
+            parts = list(pool.map(chunk_stats, chunks))
+    else:
+        parts = [chunk_stats(indices) for indices in chunks]
+    # (E, n_paths) per statistic, paths merged in chunk order
+    sup_u_all, sup_diff_all, alive_all = (np.concatenate(p, axis=1) for p in zip(*parts))
 
     records = []
-    for eps in mc.eps_grid:
-        if mc.threads > 1:
-            with ThreadPoolExecutor(max_workers=mc.threads) as pool:
-                parts = list(pool.map(_work, chunks))
-        else:
-            parts = [_work(indices) for indices in chunks]
-        sup_u = np.concatenate([p[0] for p in parts])
-        sup_diff = np.concatenate([p[1] for p in parts])
-        alive = np.concatenate([p[2] for p in parts])
-
+    for eps, sup_u, sup_diff, alive in zip(mc.eps_grid, sup_u_all, sup_diff_all, alive_all):
         n_ok = int(alive.sum())
         failed_fraction = 1.0 - n_ok / mc.n_paths
         a_val = sched.a(eps)
@@ -468,30 +471,26 @@ def _convolution_sups_chunk(
     """Per-path sup over the lattice of |stochastic convolution|.
 
     The convolution eta follows eta^{k+1} = M^{-1}(eta^k + sigma(u^k) dW/dx)
-    alongside the eps = 1 solution path u feeding the coefficient.
+    alongside the eps = 1 solution path u feeding the coefficient.  Both
+    ride in one batch: rows 0..B-1 carry u, rows B..2B-1 carry eta.
     """
     B = dWs.shape[0]
-    U = np.tile(u0_vals, (B, 1))
-    eta = np.zeros((B, g.nx - 1))
-    alive = np.ones(B, dtype=bool)
+    state = np.zeros((2 * B, g.nx + 1))
+    state[:B] = u0_vals
+
+    def rhs(k, S):
+        U = S[:B]
+        noise = sigma(U[:, 1:-1]) * dWs[:, k, :] / g.dx
+        u_rhs = U[:, 1:-1] + g.dt * flux_divergence(U, g.dx) + noise
+        return np.concatenate([u_rhs, S[B:, 1:-1] + noise])
+
+    peak = np.zeros(B)
     sups = np.zeros(B)
-    for k in range(g.nt):
-        sig = sigma(U[:, 1:-1])
-        noise = sig * dWs[:, k, :] / g.dx
-        eta = heat_solve(factor, (eta + noise).T).T
-        rhs = U[:, 1:-1] + g.dt * flux_divergence(U, g.dx) + noise
-        sol = heat_solve(factor, rhs.T).T
-        with np.errstate(invalid="ignore"):
-            bad = ~np.isfinite(sol).all(axis=1) | (np.abs(sol).max(axis=1) > SUP_GUARD)
-            bad |= ~np.isfinite(eta).all(axis=1)
-        if bad.any():
-            alive &= ~bad
-            sol[~alive] = 0.0
-            eta[~alive] = 0.0
-        U = np.zeros((B, g.nx + 1))
-        U[:, 1:-1] = sol
-        np.maximum(sups, np.abs(eta).max(axis=1), out=sups)
-    return sups, alive
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, S in _march(factor, state, g.nt, rhs, heat_solve):
+            np.maximum(peak, np.abs(S[:B]).max(axis=1), out=peak)
+            np.maximum(sups, np.abs(S[B:]).max(axis=1), out=sups)
+    return sups, (peak <= SUP_GUARD) & np.isfinite(sups)
 
 
 def tail_check(

@@ -7,7 +7,7 @@ how paths are scheduled across workers.
 
 The Girsanov helpers implement the measure change of the controlled
 dynamics: shifting the sheet by h*v*dt*dx and the log-density
--h*sum(v dW) - (h^2/2)*|v|_{H_T}^2 whose exponential has mean one.
+-h*sum(v dW) - (h^2/2)*dt*dx*sum(v^2) whose exponential has mean one.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Control, DimensionError, Grid, ht_norm
+from .grids import Control, DimensionError, Grid
 
 __all__ = [
     "SeedSpec",
@@ -103,10 +103,14 @@ def girsanov_shift(w: NoiseSheet, v: Control, h: float) -> NoiseSheet:
 
 
 def girsanov_log_density(w: NoiseSheet, v: Control, h: float) -> float:
-    """log dQ/dP for the shift by h*v: -h*sum(v dW) - (h^2/2)*|v|_{H_T}^2."""
+    """log dQ/dP for the shift by h*v: -h*sum(v dW) - (h^2/2)*dt*dx*sum(v^2).
+
+    The quadratic term is the variance of sum(v dW): dt*dx in every cell.
+    """
     _require_same_grid(w, v)
     stoch = float(np.sum(v.values * w.dW))
-    return -h * stoch - 0.5 * h * h * ht_norm(v, w.grid) ** 2
+    quad = float(np.sum(v.values**2) * w.grid.dt * w.grid.dx)
+    return -h * stoch - 0.5 * h * h * quad
 
 
 def sheet_to_csv(w: NoiseSheet, path) -> None:

@@ -18,6 +18,7 @@ from .solvers import (
     SigmaSpec,
     SolverConfig,
     _check_u0,
+    _skeleton_frames,
     heat_factor,
     heat_solve,
     solve_deterministic,
@@ -67,28 +68,21 @@ class SkeletonContext:
         )
 
 
-def _forward_values(ctx: SkeletonContext, v_values: np.ndarray) -> np.ndarray:
-    """Interior response frames 1..nt of the linear map applied to v."""
-    g = ctx.grid
-    out = np.empty((g.nt, g.nx - 1))
-    ubar = np.zeros(g.nx + 1)
-    for k in range(g.nt):
-        transport = ctx._transport[k] * ubar
-        div = (transport[2:] - transport[:-2]) / (2.0 * g.dx)
-        rhs = ubar[1:-1] + g.dt * (div + ctx._forcing[k] * v_values[k])
-        ub_int = heat_solve(ctx._factor, rhs)
-        ubar = np.zeros(g.nx + 1)
-        ubar[1:-1] = ub_int
-        out[k] = ub_int
-    return out
+def _forward_frames(ctx: SkeletonContext, v_values: np.ndarray) -> np.ndarray:
+    """Response frames 0..nt of the linear map applied to v (the skeleton sweep)."""
+    # heat_solve by this module's name, as in the adjoint: one name, both sweeps
+    return _skeleton_frames(
+        ctx.grid, ctx._factor, ctx._transport, ctx._forcing, v_values, heat_solve
+    )
 
 
 def _adjoint_values(ctx: SkeletonContext, field_int: np.ndarray) -> np.ndarray:
-    """Euclidean transpose of _forward_values, run backward in time.
+    """Euclidean transpose of the forward sweep on frames 1..nt.
 
-    The centered flux divergence with wall padding is skew-symmetric, so
-    its transpose is its negative; the implicit heat factor is symmetric
-    and transposes to the same banded solve.
+    It runs backward in time, in a loop of its own.  The centered flux
+    divergence with wall padding is skew-symmetric, so its transpose is its
+    negative; the implicit heat factor is symmetric and transposes to the
+    same banded solve.
     """
     g = ctx.grid
     out = np.empty((g.nt, g.nx - 1))
@@ -104,17 +98,11 @@ def _adjoint_values(ctx: SkeletonContext, field_int: np.ndarray) -> np.ndarray:
     return out
 
 
-def _embed_frames(values: np.ndarray, g: Grid) -> SpaceTimeField:
-    frames = np.zeros((g.nt + 1, g.nx + 1))
-    frames[1:, 1:-1] = values
-    return SpaceTimeField(frames, g)
-
-
 def apply_forward(v: Control, ctx: SkeletonContext) -> SpaceTimeField:
     """Response field of a control: the zero-noise deviation it forces."""
     if v.grid != ctx.grid:
         raise DimensionError("control lives on a different grid")
-    return _embed_frames(_forward_values(ctx, v.values), ctx.grid)
+    return SpaceTimeField(_forward_frames(ctx, v.values), ctx.grid)
 
 
 def apply_adjoint(field: SpaceTimeField, ctx: SkeletonContext) -> Control:
@@ -203,7 +191,7 @@ def _cgls(
     p = s.copy()
     gamma = _control_dot(s, s, g)
     for it in range(1, max_iter + 1):
-        q = _forward_values(ctx, p)
+        q = _forward_frames(ctx, p)[1:, 1:-1]
         denom = _field_dot(q, q, g) + lam * _control_dot(p, p, g)
         if denom <= 0.0 or not np.isfinite(denom):
             return v, tuple(history), sup_res, it - 1
@@ -292,7 +280,8 @@ def rate_value(
     value = 0.5 * _control_norm_sq(vals, g)
     v_star = Control(vals, g)
     # the reported value is recomputed from the minimizer, not accumulated
-    assert abs(value - 0.5 * ht_norm(v_star, g) ** 2) <= 1e-12 * max(1.0, value)
+    if not abs(value - 0.5 * ht_norm(v_star, g) ** 2) <= 1e-12 * max(1.0, value):
+        raise RuntimeError(f"rate value {value!r} disagrees with the norm of v*")
     return RateResult(
         value=value,
         v_star=v_star,

@@ -1,11 +1,13 @@
 """Semi-implicit time steppers for the Burgers family of equations.
 
-All four solvers share one discretization: implicit Dirichlet Laplacian
-(tridiagonal, Cholesky-prefactored once), explicit conservative central
-flux, per-cell noise dW/(dt*dx).  Stepping is
+Every forward time loop runs through one stepping engine, _march:
+implicit Dirichlet Laplacian (tridiagonal, Cholesky-prefactored once),
+explicit conservative central flux, per-cell noise dW/(dt*dx), each step
     (I - dt*L) u^{k+1} = u^k + dt*Dx(flux) + forcing_k ,
-so there is no dt <= dx^2/2 constraint; a sup-norm guard aborts when the
-explicit flux goes unstable instead of silently producing garbage.
+so there is no dt <= dx^2/2 constraint.  The state is one path (nx+1,) or
+a batch (B, nx+1); callers supply only the right-hand side and apply the
+sup-norm guard to what they record: single-path solvers raise at the first
+bad frame, batched callers drop the paths whose running max|u| passes it.
 
 The controlled-deviation solver steps the deviation variable directly with
 the algebra that makes it pathwise-identical to the Girsanov route
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .grids import Control, DimensionError, Grid, SpaceField, SpaceTimeField, l2_norm
+from .grids import Control, DimensionError, Grid, SpaceField, SpaceTimeField
 from .kernels import KernelConfig, eval_G, eval_dG_dy
 from .noise import NoiseSheet
 
@@ -147,8 +149,8 @@ def heat_factor(g: Grid):
 
 
 def heat_solve(factor, rhs):
-    """Solve (I - dt*L) x = rhs; rhs may be (n,) or (n, B) for B paths."""
-    return cho_solve_banded((factor, False), rhs)
+    """Solve (I - dt*L) x = rhs for rhs (n,) or (n, B); inf/NaN are not rejected."""
+    return cho_solve_banded((factor, False), rhs, check_finite=False)
 
 
 def flux_divergence(u_full: np.ndarray, dx: float) -> np.ndarray:
@@ -157,16 +159,39 @@ def flux_divergence(u_full: np.ndarray, dx: float) -> np.ndarray:
     return (flux[..., 2:] - flux[..., :-2]) / (2.0 * dx)
 
 
-def _guard(u_int: np.ndarray, step: int, g: Grid) -> None:
-    sup = float(np.max(np.abs(u_int))) if u_int.size else 0.0
-    if not np.isfinite(sup) or sup > SUP_GUARD:
-        raise InstabilityError(step, step * g.dt, sup)
+def _march(factor, state: np.ndarray, nt: int, rhs, solve=heat_solve):
+    """Semi-implicit steps k = 0..nt-1 from `state`; yields (k + 1, u^{k+1}).
+
+    The state is (nx+1,) or (B, nx+1) on the full lattice.  rhs(k, u) gives
+    the interior right-hand side, solve(factor, rhs) the new interior; the
+    walls stay zero and each yielded state is a fresh array.  No guard.
+    Other modules pass their own heat_solve binding as `solve`.
+    """
+    for k in range(nt):
+        interior = solve(factor, rhs(k, state).T).T
+        state = np.zeros(state.shape)
+        state[..., 1:-1] = interior
+        yield k + 1, state
 
 
-def _with_walls(frames_int: np.ndarray, g: Grid) -> np.ndarray:
-    frames = np.zeros((frames_int.shape[0], g.nx + 1))
-    frames[:, 1:-1] = frames_int
+def _frames(u0_vals: np.ndarray, g: Grid, rhs, factor, solve=heat_solve) -> np.ndarray:
+    """All nt+1 frames of one path marched from u0_vals."""
+    frames = np.zeros((g.nt + 1, g.nx + 1))
+    frames[0] = u0_vals
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, u in _march(factor, frames[0], g.nt, rhs, solve):
+            frames[n] = u
     return frames
+
+
+def _guarded(frames: np.ndarray, g: Grid) -> SpaceTimeField:
+    """The finished path, or InstabilityError at its first frame past SUP_GUARD."""
+    sups = np.abs(frames[1:]).max(axis=1)
+    bad = np.flatnonzero(~(sups <= SUP_GUARD))
+    if bad.size:
+        step = int(bad[0]) + 1
+        raise InstabilityError(step, step * g.dt, float(sups[bad[0]]))
+    return SpaceTimeField(frames, g)
 
 
 def _check_u0(u0: SpaceField, g: Grid) -> None:
@@ -179,18 +204,11 @@ def solve_deterministic(
 ) -> SpaceTimeField:
     """Viscous Burgers with the noise switched off."""
     _check_u0(u0, g)
-    factor = heat_factor(g)
-    frames = np.zeros((g.nt + 1, g.nx + 1))
-    frames[0] = u0.values
-    u = u0.values.copy()
-    for k in range(g.nt):
-        rhs = u[1:-1] + g.dt * flux_divergence(u, g.dx)
-        u_int = heat_solve(factor, rhs)
-        _guard(u_int, k + 1, g)
-        u = np.zeros(g.nx + 1)
-        u[1:-1] = u_int
-        frames[k + 1] = u
-    return SpaceTimeField(frames, g)
+
+    def rhs(k, u):
+        return u[1:-1] + g.dt * flux_divergence(u, g.dx)
+
+    return _guarded(_frames(u0.values, g, rhs, heat_factor(g)), g)
 
 
 def solve_spde(
@@ -207,20 +225,13 @@ def solve_spde(
         raise ValueError(f"eps must be nonnegative, got {eps}")
     if w.grid != g:
         raise DimensionError("noise sheet lives on a different grid")
-    factor = heat_factor(g)
     sqrt_eps = np.sqrt(eps)
-    frames = np.zeros((g.nt + 1, g.nx + 1))
-    frames[0] = u0.values
-    u = u0.values.copy()
-    for k in range(g.nt):
+
+    def rhs(k, u):
         noise = sqrt_eps * sigma(u[1:-1]) * w.dW[k] / g.dx
-        rhs = u[1:-1] + g.dt * flux_divergence(u, g.dx) + noise
-        u_int = heat_solve(factor, rhs)
-        _guard(u_int, k + 1, g)
-        u = np.zeros(g.nx + 1)
-        u[1:-1] = u_int
-        frames[k + 1] = u
-    return SpaceTimeField(frames, g)
+        return u[1:-1] + g.dt * flux_divergence(u, g.dx) + noise
+
+    return _guarded(_frames(u0.values, g, rhs, heat_factor(g)), g)
 
 
 def solve_controlled(
@@ -257,27 +268,16 @@ def solve_controlled(
         raise DimensionError("control or noise sheet lives on a different grid")
     a_val = float(schedule.a(eps))
     h_val = float(schedule.h(eps))
-    u_det = solve_deterministic(u0, g, cfg)
-    factor = heat_factor(g)
-    frames = np.zeros((g.nt + 1, g.nx + 1))
-    ubar = np.zeros(g.nx + 1)
-    for k in range(g.nt):
-        udet_k = u_det.frames[k]
-        transport = udet_k * ubar + 0.5 * a_val * ubar**2
+    udet = solve_deterministic(u0, g, cfg).frames
+
+    def rhs(k, ubar):
+        transport = udet[k] * ubar + 0.5 * a_val * ubar**2
         div = (transport[2:] - transport[:-2]) / (2.0 * g.dx)
-        sig = sigma(udet_k[1:-1] + a_val * ubar[1:-1])
-        rhs = (
-            ubar[1:-1]
-            + g.dt * div
-            + sig * w.dW[k] / (h_val * g.dx)
-            + g.dt * sig * v.values[k]
-        )
-        ub_int = heat_solve(factor, rhs)
-        _guard(ub_int, k + 1, g)
-        ubar = np.zeros(g.nx + 1)
-        ubar[1:-1] = ub_int
-        frames[k + 1] = ubar
-    return SpaceTimeField(frames, g)
+        sig = sigma(udet[k][1:-1] + a_val * ubar[1:-1])
+        noise = sig * w.dW[k] / (h_val * g.dx)
+        return ubar[1:-1] + g.dt * div + noise + g.dt * sig * v.values[k]
+
+    return _guarded(_frames(np.zeros(g.nx + 1), g, rhs, heat_factor(g)), g)
 
 
 def _check_u_det(u0: SpaceField, g: Grid, u_det: SpaceTimeField) -> None:
@@ -285,6 +285,22 @@ def _check_u_det(u0: SpaceField, g: Grid, u_det: SpaceTimeField) -> None:
         raise DimensionError("deterministic limit lives on a different grid")
     if not np.array_equal(u_det.frames[0], u0.values):
         raise ValueError("u_det does not start from the supplied initial condition")
+
+
+def _skeleton_frames(g: Grid, factor, transport, forcing, v_values, solve=heat_solve):
+    """Frames of the linear skeleton response to v_values.
+
+    transport[k] is 2*u_det on the full lattice and forcing[k] is
+    sigma(u_det) on the interior, both at frame k; solve_skeleton and the
+    rate function's forward map share this sweep.
+    """
+
+    def rhs(k, ubar):
+        flux = transport[k] * ubar
+        div = (flux[2:] - flux[:-2]) / (2.0 * g.dx)
+        return ubar[1:-1] + g.dt * (div + forcing[k] * v_values[k])
+
+    return _frames(np.zeros(g.nx + 1), g, rhs, factor, solve)
 
 
 def solve_skeleton(
@@ -306,20 +322,9 @@ def solve_skeleton(
     if v.grid != g:
         raise DimensionError("control lives on a different grid")
     _check_u_det(u0, g, u_det)
-    factor = heat_factor(g)
-    frames = np.zeros((g.nt + 1, g.nx + 1))
-    ubar = np.zeros(g.nx + 1)
-    for k in range(g.nt):
-        udet_k = u_det.frames[k]
-        transport = 2.0 * udet_k * ubar
-        div = (transport[2:] - transport[:-2]) / (2.0 * g.dx)
-        rhs = ubar[1:-1] + g.dt * (div + sigma(udet_k[1:-1]) * v.values[k])
-        ub_int = heat_solve(factor, rhs)
-        _guard(ub_int, k + 1, g)
-        ubar = np.zeros(g.nx + 1)
-        ubar[1:-1] = ub_int
-        frames[k + 1] = ubar
-    return SpaceTimeField(frames, g)
+    base = u_det.frames[:-1]
+    forcing = sigma(base[:, 1:-1])
+    return _guarded(_skeleton_frames(g, heat_factor(g), 2.0 * base, forcing, v.values), g)
 
 
 # ------------------------------------------------------- fixed-point solver

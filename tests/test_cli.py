@@ -192,6 +192,25 @@ class TestMc:
             assert (d / "stats.csv").read_bytes() == ref_csv
 
 
+    def test_invalid_records_exit_check_and_stay_strict_json(self, tmp_path):
+        # sigma = 200 blows every path up: no record is valid, moments are NaN
+        cfg = write_config(tmp_path, "c.json", {
+            "grid": {"nx": 16, "nt": 16},
+            "sigma": {"kind": "constant", "params": [200.0]},
+            "mc": {"eps_grid": [1.0, 0.5], "n_paths": 32},
+        })
+        out = tmp_path / "run"
+        assert main(
+            ["mc", "--config", cfg, "--out", str(out), "--no-timestamp"]
+        ) == EXIT_CHECK
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = json.loads((out / "stats.json").read_text(), parse_constant=reject)
+        assert [r["valid"] for r in report["records"]] == [False, False]
+        assert report["records"][0]["moments_u"] == {"2": None}
+
 class TestKernelCheck:
     def test_default_bands_pass(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"grid": {"nx": 16, "nt": 32, "T": 0.5}})

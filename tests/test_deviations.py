@@ -16,6 +16,7 @@ from burgerslab.deviations import (
     wilson_interval,
 )
 from burgerslab.grids import DimensionError, Grid, SpaceField, SpaceTimeField
+from burgerslab.grids import sup_t_l2
 from burgerslab.noise import SeedSpec, sample_sheet
 from burgerslab.solvers import SigmaSpec, solve_deterministic, solve_spde
 
@@ -290,6 +291,33 @@ class TestMcRun:
                 McConfig(eps_grid=(1e-2,), n_paths=4, threshold=0.1),
             )
 
+
+    def test_batched_paths_match_single_path_solver(self):
+        # mc_run steps every eps of a chunk in one batch; recompute each
+        # path alone with solve_spde on the same sheet.  80 paths leave a
+        # partial second chunk.
+        g = Grid(nx=16, nt=32, T=0.5)
+        u0 = SpaceField.sample(g, SIN)
+        sigma = SigmaSpec.cosine(1.0)
+        sched = ScalingSchedule.moderate(0.25)
+        mc = McConfig(eps_grid=(1e-2, 2.5e-3), n_paths=80, threshold=0.1, master_seed=5)
+        stats = mc_run(u0, g, sigma, sched, mc)
+        u_det = solve_deterministic(u0, g)
+        sheets = [sample_sheet(g, SeedSpec(mc.master_seed, i)) for i in range(mc.n_paths)]
+        for rec in stats.records:
+            sup_u, sup_dev = [], []
+            for w in sheets:
+                u = solve_spde(u0, g, rec.eps, sigma, w)
+                sup_u.append(sup_t_l2(u, g))
+                sup_dev.append(sup_t_l2(SpaceTimeField(u.frames - u_det.frames, g), g))
+            sup_u, sup_dev = np.array(sup_u), np.array(sup_dev)
+            hits = int(np.sum(sup_dev / sched.a(rec.eps) > mc.threshold))
+            assert 0 < hits < mc.n_paths
+            assert rec.p_hat * mc.n_paths == hits
+            assert dict(rec.moments_u)[2] == pytest.approx(np.mean(sup_u**2), rel=1e-13)
+            assert dict(rec.moments_dev)[2] == pytest.approx(
+                np.mean(sup_dev**2), rel=1e-13
+            )
 
 class TestImportanceSampling:
     G = Grid(nx=24, nt=160, T=0.5)

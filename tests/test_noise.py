@@ -154,6 +154,22 @@ def test_martingale_mean_one_across_h():
             assert abs(mean - 1.0) <= 4.0 * se, (trial, h, mean, se)
 
 
+def test_martingale_mean_one_for_wall_adjacent_control():
+    # every cell of the sheet has variance dt*dx, the wall-adjacent
+    # columns too; a density built on the H_T weights misses this control
+    g = Grid(nx=8, nt=8, T=1.0)
+    vals = np.zeros((g.nt, g.nx - 1))
+    vals[:, [0, -1]] = 1.0
+    v = Control(vals / np.sqrt(np.sum(vals**2) * g.dt * g.dx), g)
+    n = 5000
+    zs = np.empty(n)
+    for i in range(n):
+        w = sample_sheet(g, SeedSpec(11, i))
+        zs[i] = np.exp(girsanov_log_density(w, v, 1.0))
+    mean = float(np.mean(zs))
+    se = float(np.std(zs, ddof=1) / np.sqrt(n))
+    assert abs(mean - 1.0) <= 3.0 * se, (mean, se)
+
 def test_csv_round_trip(tmp_path):
     g = Grid(nx=8, nt=8, T=0.25)
     w = sample_sheet(g, SeedSpec(42, 3))

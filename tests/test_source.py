@@ -1,0 +1,15 @@
+"""Checks on the package source itself."""
+import ast
+from pathlib import Path
+
+import burgerslab
+
+
+def test_no_assert_statements():
+    # asserts vanish under python -O; runtime checks must raise real errors
+    found = []
+    for path in sorted(Path(burgerslab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
