@@ -1,12 +1,14 @@
 """Scaling schedules, deviation fields, and Monte Carlo deviation statistics.
 
-The MC engine steps paths in lockstep batches through the solvers'
-stepping engine.  A chunk of paths draws its sheets once and steps every
-eps of the grid in one batch (rows eps-major, each sheet broadcast over
-eps); a running max|u| per row applies the sup-norm guard.  A run is
-reproducible bit-for-bit for a given master seed regardless of how many
-worker threads execute the chunks: each chunk is a pure function of
-(master_seed, path indices) and results are merged per eps in chunk order.
+Every Monte Carlo pass runs through one chunk driver, `_map_chunks`: fixed
+CHUNK_SIZE chunks of path indices on a thread pool, results in chunk order.
+Each chunk is a pure function of (master_seed, path indices), so a run is
+reproducible bit-for-bit whatever the number of worker threads.  A chunk
+draws its sheets once and steps every eps in one lockstep batch through the
+solvers' stepping engine (rows eps-major, each sheet broadcast over eps); a
+running max|u| per row applies the sup-norm guard.  The eps that fall back
+to importance sampling share a second batch of the same shape, each row
+block driven by the sheet plus that eps's Girsanov shift.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Control, DimensionError, Grid, SpaceField, SpaceTimeField
-from .noise import SeedSpec, girsanov_log_density, sample_sheet
+from .noise import SeedSpec, _log_density, sample_sheet
 from .solvers import (
     DEFAULT_SOLVER,
     SUP_GUARD,
@@ -30,6 +32,7 @@ from .solvers import (
     heat_factor,
     heat_solve,
     solve_deterministic,
+    solve_skeleton,
 )
 
 __all__ = [
@@ -156,6 +159,11 @@ class McConfig:
             raise ValueError("threads must be positive")
 
 
+def _num(x):
+    """JSON value of a statistic: non-finite values become null."""
+    return None if not np.isfinite(x) else float(x)
+
+
 @dataclass(frozen=True)
 class EpsRecord:
     eps: float
@@ -171,9 +179,6 @@ class EpsRecord:
     method: str  # "plain" | "importance"
 
     def to_json_dict(self) -> dict:
-        def _num(x):
-            return None if (x is None or not np.isfinite(x)) else float(x)
-
         return {
             "eps": self.eps,
             "p_hat": self.p_hat,
@@ -241,11 +246,14 @@ def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple:
     return (lo, hi)
 
 
-def _chunk_indices(n_paths: int) -> list:
-    return [
+def _map_chunks(fn, n_paths: int, threads: int) -> list:
+    """fn(indices) per fixed CHUNK_SIZE chunk of range(n_paths), in chunk order."""
+    chunks = [
         range(start, min(start + CHUNK_SIZE, n_paths))
         for start in range(0, n_paths, CHUNK_SIZE)
     ]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, chunks))
 
 
 def _gather_sheets(g: Grid, master_seed: int, indices) -> np.ndarray:
@@ -260,25 +268,28 @@ def _run_paths_chunk(
     g: Grid,
     eps_values,
     sigma: SigmaSpec,
-    dWs: np.ndarray,
+    B: int,
+    increments,
     udet_frames: np.ndarray,
     factor,
 ) -> tuple:
-    """Step every (eps, sheet) pair of a chunk in one lockstep batch.
+    """Step every (eps, path) pair of a chunk of B paths in one lockstep batch.
 
-    Rows are eps-major; each sheet is broadcast over eps, never copied.
+    Rows are eps-major.  increments(k) gives the noise increments of step k,
+    broadcastable to (len(eps_values), B, nx-1): a (B, nx-1) sheet slice is
+    shared by every eps without a copy.
     Returns (sup_u, sup_diff, alive), each (len(eps_values), B): per-path
     sup_t of the solution's L2 norm, sup_t of ||u - u_det||_2 (unscaled),
     and the sup-norm guard.  The arithmetic per path matches solve_spde:
     the banded solve treats right-hand-side columns independently.
     """
-    E, B = len(eps_values), dWs.shape[0]
+    E = len(eps_values)
     w_space = g.space_weights()
     sqrt_eps = np.sqrt(np.asarray(eps_values, dtype=float))[:, None, None]
 
     def rhs(k, U):
         sig = sigma(U[:, 1:-1]).reshape(E, B, -1)
-        noise = (sqrt_eps * sig * dWs[:, k, :] / g.dx).reshape(E * B, -1)
+        noise = (sqrt_eps * sig * increments(k) / g.dx).reshape(E * B, -1)
         return U[:, 1:-1] + g.dt * flux_divergence(U, g.dx) + noise
 
     U = np.tile(u0_vals, (E * B, 1))
@@ -298,29 +309,29 @@ def _run_paths_chunk(
 def _importance_pass(
     u0: SpaceField,
     g: Grid,
-    eps: float,
+    eps_values: tuple,
     sigma: SigmaSpec,
+    sched: ScalingSchedule,
     mc: McConfig,
     u_det: SpaceTimeField,
     factor,
-    a_val: float,
-    h_val: float,
-) -> tuple:
-    """Estimate the deviation probability under a Girsanov-shifted measure.
+) -> list:
+    """Estimate deviation probabilities under Girsanov-shifted measures.
 
-    Paths are driven by dW + h*v*dt*dx with h = h(eps), the change of
-    measure under which the deviation field acquires the mean push given by
-    the skeleton response to v.  The profile's strength is calibrated so
-    that this response sits at the threshold (times mc.importance_scale):
-    tilting past the threshold is the classical failure mode where rare
-    large-weight crossings dominate the expectation, while tilting to it
-    makes roughly half the paths cross with bounded weights.  Each path is
-    reweighted by the exponential martingale evaluated on the unshifted
-    sheet, which keeps the estimator unbiased.
-    Returns (p_hat, ci_low, ci_high, n_used).
+    For each eps, paths are driven by dW + h*v*dt*dx with h = h(eps), the
+    change of measure under which the deviation field acquires the mean
+    push given by the skeleton response to v.  The profile's strength is
+    calibrated so that this response sits at the threshold (times
+    mc.importance_scale): tilting past the threshold is the classical
+    failure mode where rare large-weight crossings dominate the
+    expectation, while tilting to it makes roughly half the paths cross
+    with bounded weights.  Each path is reweighted by the exponential
+    martingale evaluated on the unshifted sheet, which keeps the estimator
+    unbiased.  As in the plain pass, a chunk draws its sheets once and
+    steps every eps in one batch; row block e adds eps e's shift per step.
+    Returns one (p_hat, ci_low, ci_high, failed_fraction) per eps, where a
+    path fails if it blows up or its weight is not finite.
     """
-    from .solvers import solve_skeleton  # local import; solvers has no mc deps
-
     profile = np.tile(np.sin(np.pi * g.x_interior()), (g.nt, 1))
     response = solve_skeleton(u0, g, Control(profile, g), sigma, u_det)
     unit_sup = float(
@@ -328,25 +339,33 @@ def _importance_pass(
     )
     strength = mc.importance_scale * mc.threshold / unit_sup
     v_vals = strength * profile
-    shift = h_val * v_vals * (g.dt * g.dx)
-    ht2 = float(np.sum(v_vals**2) * g.dt * g.dx)
-    weighted = []
-    for indices in _chunk_indices(mc.n_paths):
-        base = _gather_sheets(g, mc.master_seed, indices)
-        logw = -h_val * np.einsum("bkj,kj->b", base, v_vals) - 0.5 * h_val**2 * ht2
+    a_vals = np.array([sched.a(e) for e in eps_values])[:, None]
+    h_vals = np.array([sched.h(e) for e in eps_values])[:, None]
+    shifts = h_vals[:, :, None] * v_vals * (g.dt * g.dx)  # (E, nt, nx-1)
+
+    def chunk_weights(indices):
+        dWs = _gather_sheets(g, mc.master_seed, indices)
         _, sup_diff, alive = _run_paths_chunk(
-            u0.values, g, (eps,), sigma, base + shift, u_det.frames, factor
+            u0.values, g, eps_values, sigma, len(indices),
+            lambda k: dWs[:, k, :] + shifts[:, None, k, :], u_det.frames, factor,
         )
-        hit = (sup_diff[0] / a_val > mc.threshold) & alive[0]
-        weighted.append(np.where(alive[0], np.exp(logw) * hit, np.nan))
-    w = np.concatenate(weighted)
-    w = w[np.isfinite(w)]
-    n = w.size
-    if n == 0:
-        return 0.0, 0.0, 1.0, 0
-    p = float(np.mean(w))
-    se = float(np.std(w, ddof=1) / np.sqrt(n)) if n > 1 else 1.0
-    return p, max(0.0, p - 1.96 * se), min(1.0, p + 1.96 * se), n
+        hit = (sup_diff / a_vals > mc.threshold) & alive
+        logw = _log_density(dWs, v_vals, h_vals, g)  # (E, B)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(alive, np.exp(logw) * hit, np.nan)
+
+    out = []
+    for w in np.concatenate(_map_chunks(chunk_weights, mc.n_paths, mc.threads), axis=1):
+        w = w[np.isfinite(w)]
+        n = w.size
+        failed = 1.0 - n / mc.n_paths
+        if n == 0:
+            out.append((0.0, 0.0, 1.0, failed))
+            continue
+        p = float(np.mean(w))
+        se = float(np.std(w, ddof=1) / np.sqrt(n)) if n > 1 else 1.0
+        out.append((p, max(0.0, p - 1.96 * se), min(1.0, p + 1.96 * se), failed))
+    return out
 
 
 def mc_run(
@@ -365,6 +384,9 @@ def mc_run(
     interval, sample moments of sup_t ||u_eps||_2 and of the unscaled
     difference, and the speed probe -log(p_hat)/h(eps)^2.  Unstable paths
     are dropped; a record with more than 1% failures is marked invalid.
+    With use_importance, every eps with too few plain hits takes its
+    p_hat from one shared tilted pass, and its failed fraction is the
+    larger of the two passes'.
     """
     if u0.grid != g:
         raise DimensionError("initial condition lives on a different grid")
@@ -373,57 +395,52 @@ def mc_run(
 
     def chunk_stats(indices):
         dWs = _gather_sheets(g, mc.master_seed, indices)
-        return _run_paths_chunk(u0.values, g, mc.eps_grid, sigma, dWs, u_det.frames, factor)
+        return _run_paths_chunk(
+            u0.values, g, mc.eps_grid, sigma, len(indices),
+            lambda k: dWs[:, k, :], u_det.frames, factor,
+        )
 
-    chunks = _chunk_indices(mc.n_paths)
-    if mc.threads > 1:
-        with ThreadPoolExecutor(max_workers=mc.threads) as pool:
-            parts = list(pool.map(chunk_stats, chunks))
-    else:
-        parts = [chunk_stats(indices) for indices in chunks]
+    parts = _map_chunks(chunk_stats, mc.n_paths, mc.threads)
     # (E, n_paths) per statistic, paths merged in chunk order
     sup_u_all, sup_diff_all, alive_all = (np.concatenate(p, axis=1) for p in zip(*parts))
 
-    records = []
-    for eps, sup_u, sup_diff, alive in zip(mc.eps_grid, sup_u_all, sup_diff_all, alive_all):
+    estimates = []  # (p_hat, ci_low, ci_high, failed_fraction) per eps
+    tilted = []
+    for e, (eps, sup_diff, alive) in enumerate(zip(mc.eps_grid, sup_diff_all, alive_all)):
         n_ok = int(alive.sum())
-        failed_fraction = 1.0 - n_ok / mc.n_paths
-        a_val = sched.a(eps)
-        h_val = sched.h(eps)
-        su = sup_u[alive]
-        sd = sup_diff[alive]
-        hits = int(np.sum(sd / a_val > mc.threshold)) if n_ok else 0
+        hits = int(np.sum(sup_diff[alive] / sched.a(eps) > mc.threshold))
         p_hat = hits / n_ok if n_ok else 0.0
-        ci_low, ci_high = wilson_interval(hits, n_ok)
-        method = "plain"
+        estimates.append((p_hat, *wilson_interval(hits, n_ok), 1.0 - n_ok / mc.n_paths))
         if mc.use_importance and hits < MIN_IMPORTANCE_HITS:
-            p_hat, ci_low, ci_high, _ = _importance_pass(
-                u0, g, eps, sigma, mc, u_det, factor, a_val, h_val
-            )
-            method = "importance"
-        moments_u = tuple(
-            (q, float(np.mean(su**q)) if n_ok else np.nan) for q in mc.moment_orders
-        )
-        moments_dev = tuple(
-            (q, float(np.mean(sd**q)) if n_ok else np.nan) for q in mc.moment_orders
-        )
-        if 0.0 < p_hat < 1.0:
-            speed = -math.log(p_hat) / h_val**2
-        else:
-            speed = math.nan
+            tilted.append(e)
+    if tilted:
+        tilted_eps = tuple(mc.eps_grid[e] for e in tilted)
+        passes = _importance_pass(u0, g, tilted_eps, sigma, sched, mc, u_det, factor)
+        for e, (p_hat, ci_low, ci_high, failed) in zip(tilted, passes):
+            estimates[e] = (p_hat, ci_low, ci_high, max(failed, estimates[e][3]))
+
+    def moments(x):
+        return tuple((q, float(np.mean(x**q)) if x.size else np.nan) for q in mc.moment_orders)
+
+    records = []
+    for e, (eps, sup_u, sup_diff, alive) in enumerate(
+        zip(mc.eps_grid, sup_u_all, sup_diff_all, alive_all)
+    ):
+        p_hat, ci_low, ci_high, failed_fraction = estimates[e]
+        speed = -math.log(p_hat) / sched.h(eps) ** 2 if 0.0 < p_hat < 1.0 else math.nan
         records.append(
             EpsRecord(
                 eps=eps,
                 p_hat=p_hat,
                 ci_low=ci_low,
                 ci_high=ci_high,
-                moments_u=moments_u,
-                moments_dev=moments_dev,
+                moments_u=moments(sup_u[alive]),
+                moments_dev=moments(sup_diff[alive]),
                 neg_log_p_over_h2=speed,
                 failed_fraction=failed_fraction,
                 n_paths=mc.n_paths,
                 valid=failed_fraction <= MAX_FAILED_FRACTION,
-                method=method,
+                method="importance" if e in tilted else "plain",
             )
         )
     return DeviationStats(records=tuple(records), threshold=mc.threshold, schedule=sched)
@@ -446,9 +463,6 @@ class TailReport:
     all_zero: bool
 
     def to_json_dict(self) -> dict:
-        def _num(x):
-            return None if not np.isfinite(x) else float(x)
-
         return {
             "thresholds": list(self.thresholds),
             "p_hat": list(self.p_hat),
@@ -509,67 +523,44 @@ def tail_check(
     if u0.grid != g:
         raise DimensionError("initial condition lives on a different grid")
     factor = heat_factor(g)
-    sups_parts = []
-    alive_parts = []
-    for indices in _chunk_indices(mc.n_paths):
+
+    def chunk_sups(indices):
         dWs = _gather_sheets(g, mc.master_seed, indices)
-        s, a = _convolution_sups_chunk(u0.values, g, sigma, dWs, factor)
-        sups_parts.append(s)
-        alive_parts.append(a)
-    sups = np.concatenate(sups_parts)
-    alive = np.concatenate(alive_parts)
+        return _convolution_sups_chunk(u0.values, g, sigma, dWs, factor)
+
+    parts = _map_chunks(chunk_sups, mc.n_paths, mc.threads)
+    sups, alive = (np.concatenate(p) for p in zip(*parts))
     failed_fraction = 1.0 - float(alive.sum()) / mc.n_paths
     sups = sups[alive]
     n = sups.size
-
-    if n == 0 or np.max(sups) == 0.0:
-        return TailReport(
-            thresholds=(),
-            p_hat=(),
-            slope=math.nan,
-            intercept=math.nan,
-            r_squared=math.nan,
-            n_paths=mc.n_paths,
-            failed_fraction=failed_fraction,
-            all_zero=True,
-        )
-
-    target_probs = [0.4, 0.25, 0.15, 0.08, 0.04, 0.02, max(0.01, 20.0 / n)]
-    target_probs = sorted({p for p in target_probs if 0 < p < 1}, reverse=True)
-    ladder = np.quantile(sups, [1.0 - p for p in target_probs])
+    all_zero = bool(n == 0 or np.max(sups) == 0.0)
     thresholds = []
     p_hat = []
-    for m in ladder:
-        if thresholds and m <= thresholds[-1]:
-            continue
-        p = float(np.mean(sups >= m))
-        if 0.0 < p < 1.0:
-            thresholds.append(float(m))
-            p_hat.append(p)
-    if len(thresholds) < 3:
-        return TailReport(
-            thresholds=tuple(thresholds),
-            p_hat=tuple(p_hat),
-            slope=math.nan,
-            intercept=math.nan,
-            r_squared=math.nan,
-            n_paths=mc.n_paths,
-            failed_fraction=failed_fraction,
-            all_zero=False,
-        )
-    x = np.asarray(thresholds) ** 2
-    y = np.log(np.asarray(p_hat))
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else math.nan
+    if not all_zero:
+        target_probs = [0.4, 0.25, 0.15, 0.08, 0.04, 0.02, max(0.01, 20.0 / n)]
+        target_probs = sorted({p for p in target_probs if 0 < p < 1}, reverse=True)
+        for m in np.quantile(sups, [1.0 - p for p in target_probs]):
+            if thresholds and m <= thresholds[-1]:
+                continue
+            p = float(np.mean(sups >= m))
+            if 0.0 < p < 1.0:
+                thresholds.append(float(m))
+                p_hat.append(p)
+    slope = intercept = r2 = math.nan
+    if len(thresholds) >= 3:
+        x = np.asarray(thresholds) ** 2
+        y = np.log(np.asarray(p_hat))
+        slope, intercept = (float(c) for c in np.polyfit(x, y, 1))
+        resid = y - (slope * x + intercept)
+        ss_tot = float(np.sum((y - y.mean()) ** 2))
+        r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else math.nan
     return TailReport(
         thresholds=tuple(thresholds),
         p_hat=tuple(p_hat),
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
         r_squared=r2,
         n_paths=mc.n_paths,
         failed_fraction=failed_fraction,
-        all_zero=False,
+        all_zero=all_zero,
     )

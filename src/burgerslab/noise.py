@@ -102,15 +102,22 @@ def girsanov_shift(w: NoiseSheet, v: Control, h: float) -> NoiseSheet:
     return NoiseSheet(w.dW + h * v.values * (g.dt * g.dx), seed=w.seed, grid=g)
 
 
-def girsanov_log_density(w: NoiseSheet, v: Control, h: float) -> float:
-    """log dQ/dP for the shift by h*v: -h*sum(v dW) - (h^2/2)*dt*dx*sum(v^2).
+def _log_density(dW: np.ndarray, v: np.ndarray, h, g: Grid) -> np.ndarray:
+    """-h*sum(v dW) - (h^2/2)*dt*dx*sum(v^2), summed over the last two axes.
 
-    The quadratic term is the variance of sum(v dW): dt*dx in every cell.
+    Leading axes of dW, v and h broadcast, so a batch of sheets (B, nt, nx-1)
+    or a column of strengths h (E, 1) yields one log-density per row.  The
+    quadratic term is the variance of sum(v dW): dt*dx in every cell.
     """
-    _require_same_grid(w, v)
-    stoch = float(np.sum(v.values * w.dW))
-    quad = float(np.sum(v.values**2) * w.grid.dt * w.grid.dx)
+    stoch = np.sum(v * dW, axis=(-2, -1))
+    quad = np.sum(v**2, axis=(-2, -1)) * g.dt * g.dx
     return -h * stoch - 0.5 * h * h * quad
+
+
+def girsanov_log_density(w: NoiseSheet, v: Control, h: float) -> float:
+    """log dQ/dP for the shift by h*v: -h*sum(v dW) - (h^2/2)*dt*dx*sum(v^2)."""
+    _require_same_grid(w, v)
+    return float(_log_density(w.dW, v.values, h, w.grid))
 
 
 def sheet_to_csv(w: NoiseSheet, path) -> None:

@@ -344,3 +344,50 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == EXIT_USAGE
+
+
+class TestThreads:
+    CFG = {
+        "grid": {"nx": 16, "nt": 32, "T": 0.5},
+        "mc": {"n_paths": 16},
+        "girsanov": {"n_sheets": 150},
+    }
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, threads):
+        cfg = write_config(tmp_path, "c.json", self.CFG)
+        assert main(
+            ["mc", "--config", cfg, "--out", str(tmp_path / "x"), "--threads", threads]
+        ) == EXIT_USAGE
+
+    def test_girsanov_report_independent_of_threads(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", self.CFG)
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            assert main(
+                ["girsanov-check", "--config", cfg, "--out", str(out),
+                 "--threads", threads, "--no-timestamp"]
+            ) == EXIT_OK
+            reports.append((out / "girsanov_report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_girsanov_check_draws_sheet_zero_once_more(self, tmp_path, monkeypatch):
+        from burgerslab import cli
+
+        keys = []
+        real = cli.sample_sheet
+
+        def counted(g, s):
+            keys.append(s.path_index)
+            return real(g, s)
+
+        monkeypatch.setattr(cli, "sample_sheet", counted)
+        cfg = write_config(tmp_path, "c.json", self.CFG)
+        assert main(
+            ["girsanov-check", "--config", cfg, "--out", str(tmp_path / "x"),
+             "--threads", "2", "--no-timestamp"]
+        ) == EXIT_OK
+        # the martingale mean reads sheets 0..n-1; sheet 0 is drawn once
+        # more and serves both the zero-control probe and the route check
+        assert sorted(keys) == [0] + list(range(150))

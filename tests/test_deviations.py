@@ -444,3 +444,68 @@ class TestSerialization:
 
     def test_stats_is_deviation_stats(self):
         assert isinstance(self._stats(), DeviationStats)
+
+
+# ------------------------------------------------------ chunked MC passes
+
+
+class TestChunkedPasses:
+    EPS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
+
+    def _stats(self, nx, nt, n_paths, **kwargs):
+        g = Grid(nx=nx, nt=nt, T=1.0)
+        mc = McConfig(
+            eps_grid=self.EPS, n_paths=n_paths, threshold=0.3, use_importance=True, **kwargs
+        )
+        return mc_run(
+            SpaceField.sample(g, SIN), g, SigmaSpec.cosine(1.0),
+            ScalingSchedule.moderate(0.25), mc,
+        )
+
+    def test_importance_draws_each_sheet_once_per_pass(self, monkeypatch):
+        from burgerslab import deviations
+
+        keys = []
+        real = deviations.sample_sheet
+
+        def counted(g, s):
+            keys.append(s.path_index)
+            return real(g, s)
+
+        monkeypatch.setattr(deviations, "sample_sheet", counted)
+        stats = self._stats(32, 64, 128)
+        assert [r.method for r in stats.records] == ["importance"] * 4
+        # one plain pass and one tilted pass shared by all four eps
+        assert len(keys) == 2 * 128
+        assert sorted(keys) == sorted(list(range(128)) * 2)
+
+    def test_dropped_tilted_paths_invalidate_record(self):
+        # a tilt 1e5 times the calibrated one blows every tilted path up
+        stats = self._stats(16, 32, 64, importance_scale=1e5)
+        for rec in stats.records:
+            assert rec.method == "importance"
+            assert rec.failed_fraction == 1.0
+            assert not rec.valid
+
+    def test_importance_json_independent_of_threads(self, tmp_path):
+        texts = []
+        for threads in (1, 2):
+            path = tmp_path / f"t{threads}.json"
+            self._stats(16, 32, 150, threads=threads).to_json(str(path))
+            texts.append(path.read_bytes())
+        assert b'"importance"' in texts[0]
+        assert texts[0] == texts[1]
+
+    def test_tail_report_independent_of_threads(self):
+        g = Grid(nx=16, nt=48, T=0.5)
+        u0 = SpaceField.sample(g, SIN)
+        reports = [
+            json.dumps(tail_check(
+                u0, g, SigmaSpec.constant(1.0),
+                McConfig(eps_grid=(1.0,), n_paths=150, threshold=0.1, master_seed=3,
+                         threads=threads),
+            ).to_json_dict())
+            for threads in (1, 2)
+        ]
+        assert '"all_zero": false' in reports[0]
+        assert reports[0] == reports[1]

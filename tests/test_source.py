@@ -13,3 +13,12 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_one_thread_pool():
+    # every chunked Monte Carlo pass goes through deviations._map_chunks
+    count = sum(
+        path.read_text().count("ThreadPoolExecutor(")
+        for path in Path(burgerslab.__file__).parent.glob("*.py")
+    )
+    assert count == 1
