@@ -2,13 +2,14 @@
 
 Every subcommand is a pure function of the configuration file and the
 flags: defaults, then file values, then environment overrides, then flags,
-in increasing precedence.  Fields go to CSV, structured reports to JSON;
-with --no-timestamp a rerun reproduces every output byte for byte.
+in increasing precedence.  Fields and controls go to CSV in the lattice
+layout of burgerslab.grids (read_field_csv reads either), structured
+reports to JSON; with --no-timestamp a rerun reproduces every output byte
+for byte.
 """
 
 import argparse
 import copy
-import csv
 import json
 import math
 import os
@@ -21,6 +22,7 @@ import numpy as np
 from . import __version__
 from .deviations import McConfig, ScalingSchedule, _map_chunks, deviation_field, mc_run
 from .grids import Control, Grid, SpaceField, SpaceTimeField, ht_norm, sup_t_l2
+from .grids import read_lattice_csv, write_lattice_csv
 from .kernels import KernelConfig, verify_kernel_estimates
 from .noise import SeedSpec, girsanov_log_density, girsanov_shift, sample_sheet
 from .ratefn import SkeletonContext, rate_value
@@ -58,7 +60,7 @@ DEFAULTS = {
     "solver": {"fp_tol": 1e-4, "fp_max_iter": 40},
     "kernel": {"truncation": 50, "method": "auto"},
     "rate": {"tol": 1e-6, "max_iter": 2000},
-    "girsanov": {"n_sheets": 20000, "eps": 1e-3, "route_tol": 5e-2},
+    "girsanov": {"n_sheets": 20000, "eps": 1e-3, "route_tol": 1e-10},
     "output": {"dir": ".", "format": "csv"},
 }
 
@@ -276,27 +278,16 @@ def _write_json(obj: dict, path: str) -> None:
 
 
 def _field_to_csv(frames: np.ndarray, g: Grid, path: str, label: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([label, "nx", g.nx, "nt", g.nt, "T", repr(g.T)])
-        for row in frames:
-            writer.writerow([repr(float(x)) for x in row])
+    """Field or control in the lattice layout; label is accepted, not written."""
+    write_lattice_csv(path, frames, g)
 
 
 def read_field_csv(path: str) -> tuple:
-    """Read a field CSV back as (frames, Grid); inverse of the writer."""
+    """Read a field or control CSV back as (values, Grid)."""
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise ConfigError(f"cannot read field file: {exc}") from exc
-    try:
-        head = rows[0]
-        g = Grid(nx=int(head[2]), nt=int(head[4]), T=float(head[6]))
-        frames = np.array([[float(x) for x in r] for r in rows[1:]])
-    except (IndexError, ValueError) as exc:
-        raise ConfigError(f"malformed field file {path}: {exc}") from exc
-    return frames, g
+        return read_lattice_csv(path)[1:]
+    except (ValueError, IndexError, OSError) as exc:
+        raise ConfigError(f"cannot read field file {path}: {exc}") from exc
 
 
 def _field_to_json_dict(frames: np.ndarray, g: Grid) -> dict:
@@ -308,11 +299,11 @@ def _field_to_json_dict(frames: np.ndarray, g: Grid) -> dict:
     }
 
 
-def _emit_field(rc: RunConfig, frames: np.ndarray, stem: str, label: str) -> list:
+def _emit_field(rc: RunConfig, frames: np.ndarray, stem: str) -> list:
     written = []
     if rc.fmt in ("csv", "both"):
         path = os.path.join(rc.out_dir, f"{stem}.csv")
-        _field_to_csv(frames, rc.grid, path, label)
+        _field_to_csv(frames, rc.grid, path, "field")
         written.append(path)
     if rc.fmt in ("json", "both"):
         path = os.path.join(rc.out_dir, f"{stem}.json")
@@ -330,7 +321,7 @@ def _energies(frames: np.ndarray, g: Grid) -> list:
 
 def cmd_deterministic(rc: RunConfig) -> int:
     field = solve_deterministic(rc.u0, rc.grid, rc.solver)
-    _emit_field(rc, field.frames, "solution", "field")
+    _emit_field(rc, field.frames, "solution")
     summary = {
         "metadata": _metadata(rc, "deterministic"),
         "energy": _energies(field.frames, rc.grid),
@@ -354,8 +345,8 @@ def cmd_simulate(rc: RunConfig, eps: float | None) -> int:
         dev_frames = np.zeros_like(u_eps.frames)
     else:
         dev_frames = deviation_field(u_eps, u_det, rc.schedule, eps).frames
-    _emit_field(rc, u_eps.frames, "solution", "field")
-    _emit_field(rc, dev_frames, "deviation", "field")
+    _emit_field(rc, u_eps.frames, "solution")
+    _emit_field(rc, dev_frames, "deviation")
     summary = {
         "metadata": _metadata(rc, "simulate"),
         "eps": eps,

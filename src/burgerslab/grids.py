@@ -4,6 +4,11 @@ Everything downstream (noise sheets, solvers, norms, the rate function)
 lives on the lattice defined here: nodes x_j = j/nx, t_k = k*T/nt, fields
 pinned to zero at x = 0 and x = 1.  Norms are fixed quadratures: trapezoid
 in space, left rectangles in time.
+
+CSV files share one layout: a header row (corner label, x nodes), then one
+row per time (t node, values).  Node data (nt+1, nx+1), e.g. a field, lists
+every node; cell data (nt, nx-1), e.g. a control or a noise sheet, lists the
+interior x nodes and the left end of each step, then a row of only repr(T).
 """
 from __future__ import annotations
 
@@ -19,6 +24,8 @@ __all__ = [
     "SpaceTimeField",
     "Control",
     "DimensionError",
+    "write_lattice_csv",
+    "read_lattice_csv",
     "l2_norm",
     "sup_t_l2",
     "ht_norm",
@@ -76,8 +83,8 @@ class Grid:
         return np.arange(1, self.nx) * self.dx
 
     def t_nodes(self) -> np.ndarray:
-        """All nt+1 time nodes."""
-        return np.arange(self.nt + 1) * self.dt
+        """All nt+1 time nodes; the last is T exactly."""
+        return np.linspace(0.0, self.T, self.nt + 1)
 
     def space_weights(self) -> np.ndarray:
         """Trapezoid weights over all nodes: dx/2 at the walls, dx inside."""
@@ -163,35 +170,14 @@ class SpaceTimeField:
     # -- serialization ---------------------------------------------------
 
     def to_csv(self, path) -> None:
-        """Rows = time, columns = space; header row of x's, first column of t's."""
-        xs = self.grid.x_nodes()
-        ts = self.grid.t_nodes()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [repr(float(x)) for x in xs])
-            for k, t in enumerate(ts):
-                writer.writerow(
-                    [repr(float(t))] + [repr(float(v)) for v in self.frames[k]]
-                )
+        """Node data in the lattice layout, 't' in the header corner."""
+        write_lattice_csv(path, self.frames, self.grid)
 
     @staticmethod
     def from_csv(path) -> "SpaceTimeField":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if len(rows) < 2 or len(rows[0]) < 2 or rows[0][0] != "t":
+        corner, frames, grid = read_lattice_csv(path)
+        if corner != "t":
             raise ValueError(f"{path}: not a field CSV (expected 't' header corner)")
-        xs = np.array([float(v) for v in rows[0][1:]])
-        ts = np.array([float(r[0]) for r in rows[1:]])
-        nx = len(xs) - 1
-        nt = len(ts) - 1
-        if nx < 4 or nt < 4:
-            raise ValueError(f"{path}: lattice too small ({nx} x {nt})")
-        grid = Grid(nx=nx, nt=nt, T=float(ts[-1]))
-        if not np.allclose(xs, grid.x_nodes(), rtol=0, atol=1e-12):
-            raise ValueError(f"{path}: x header is not the uniform unit lattice")
-        if not np.allclose(ts, grid.t_nodes(), rtol=0, atol=1e-12 * max(1.0, grid.T)):
-            raise ValueError(f"{path}: t column is not a uniform time lattice")
-        frames = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
         return SpaceTimeField(frames, grid)
 
     def to_json_dict(self) -> dict:
@@ -242,6 +228,43 @@ class Control:
         ts = grid.t_nodes()[:-1][:, None]
         xs = grid.x_interior()[None, :]
         return Control(np.asarray(fn(ts, xs), dtype=float), grid)
+
+
+def write_lattice_csv(path, values, g: Grid, corner: str = "t") -> None:
+    """Write node data (nt+1, nx+1) or cell data (nt, nx-1) on g to CSV."""
+    cell = np.shape(values) == (g.nt, g.nx - 1)
+    if not cell and np.shape(values) != (g.nt + 1, g.nx + 1):
+        raise DimensionError(f"{np.shape(values)} is neither node nor cell data on {g}")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        xs = g.x_interior() if cell else g.x_nodes()
+        writer.writerow([corner] + [repr(float(x)) for x in xs])
+        for t, row in zip(g.t_nodes(), values):
+            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+        if cell:
+            writer.writerow([repr(g.T)])
+
+
+def read_lattice_csv(path) -> tuple[str, np.ndarray, Grid]:
+    """Inverse of write_lattice_csv: (corner, values, grid); ValueError if malformed."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    cell = len(rows) > 1 and len(rows[-1]) == 1
+    body = rows[1:-1] if cell else rows[1:]
+    if not body or len(rows[0]) < 2 or any(len(r) != len(rows[0]) for r in body):
+        raise ValueError(f"{path}: not a lattice CSV (missing or ragged rows)")
+    xs = np.array([float(v) for v in rows[0][1:]])
+    ts = np.array([float(r[0]) for r in rows[1:]])
+    grid = Grid(nx=len(xs) + (1 if cell else -1), nt=len(ts) - 1, T=float(ts[-1]))
+    x_ref = grid.x_interior() if cell else grid.x_nodes()
+    if not np.allclose(xs, x_ref, rtol=0, atol=1e-12):
+        raise ValueError(f"{path}: x header is not the uniform unit lattice")
+    if not np.allclose(ts, grid.t_nodes(), rtol=0, atol=1e-12 * max(1.0, grid.T)):
+        raise ValueError(f"{path}: t column is not a uniform time lattice")
+    return rows[0][0], np.array([[float(v) for v in r[1:]] for r in body]), grid
 
 
 def _require_grid(field_grid: Grid, g: Grid, what: str) -> None:

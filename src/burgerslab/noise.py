@@ -11,12 +11,11 @@ dynamics: shifting the sheet by h*v*dt*dx and the log-density
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Control, DimensionError, Grid
+from .grids import Control, DimensionError, Grid, read_lattice_csv, write_lattice_csv
 
 __all__ = [
     "SeedSpec",
@@ -121,20 +120,12 @@ def girsanov_log_density(w: NoiseSheet, v: Control, h: float) -> float:
 
 
 def sheet_to_csv(w: NoiseSheet, path) -> None:
-    """Debug dump for regression pinning: header carries seed and grid."""
-    g = w.grid
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", w.seed, "nx", g.nx, "nt", g.nt, "T", repr(g.T)])
-        for row in w.dW:
-            writer.writerow([repr(float(x)) for x in row])
+    """Debug dump for regression pinning: cell data, 'seed=<key>' in the corner."""
+    write_lattice_csv(path, w.dW, w.grid, corner=f"seed={w.seed}")
 
 
 def sheet_from_csv(path) -> NoiseSheet:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    head = rows[0]
-    seed = int(head[1])
-    g = Grid(nx=int(head[3]), nt=int(head[5]), T=float(head[7]))
-    dW = np.array([[float(x) for x in r] for r in rows[1:]])
-    return NoiseSheet(dW=dW, seed=seed, grid=g)
+    corner, dW, g = read_lattice_csv(path)
+    if not corner.startswith("seed="):
+        raise ValueError(f"{path}: not a sheet CSV (expected 'seed=' header corner)")
+    return NoiseSheet(dW=dW, seed=int(corner[len("seed="):]), grid=g)

@@ -120,16 +120,10 @@ class SigmaSpec:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    scheme: str = "semi_implicit"
-    flux_form: str = "conservative_central"
     fp_tol: float = 1e-4
     fp_max_iter: int = 40
 
     def __post_init__(self):
-        if self.scheme != "semi_implicit":
-            raise ValueError(f"unsupported scheme {self.scheme!r}")
-        if self.flux_form != "conservative_central":
-            raise ValueError(f"unsupported flux form {self.flux_form!r}")
         if not (0.0 < self.fp_tol <= 1e-3):
             raise ValueError(f"fp_tol must lie in (0, 1e-3], got {self.fp_tol}")
         if self.fp_max_iter < 10:

@@ -16,7 +16,7 @@ from burgerslab.cli import (
     main,
     read_field_csv,
 )
-from burgerslab.grids import Control, Grid, SpaceField, ht_norm
+from burgerslab.grids import Control, Grid, SpaceField, SpaceTimeField, ht_norm
 from burgerslab.ratefn import SkeletonContext, apply_forward
 from burgerslab.solvers import SigmaSpec
 
@@ -291,6 +291,54 @@ class TestRate:
             ["rate", "--config", cfg, "--target", str(path),
              "--out", str(tmp_path / "x")]
         ) == EXIT_USAGE
+
+    def test_library_field_is_a_target(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", self.CFG)
+        target, bound = self._target(tmp_path)
+        frames, g = read_field_csv(target)
+        path = tmp_path / "library.csv"
+        SpaceTimeField(frames, g).to_csv(path)
+        out = tmp_path / "run"
+        assert main(
+            ["rate", "--config", cfg, "--target", str(path), "--out", str(out),
+             "--no-timestamp"]
+        ) == EXIT_OK
+        result = json.loads((out / "rate_result.json").read_text())
+        assert result["attained"] is True
+        assert result["value"] <= bound + 1e-4
+
+    @pytest.mark.parametrize("defect", ["empty", "ragged_row", "uneven_x_header"])
+    def test_malformed_target_is_usage_error(self, tmp_path, capsys, defect):
+        cfg = write_config(tmp_path, "c.json", self.CFG)
+        path = tmp_path / "bad.csv"
+        SpaceTimeField.zero(Grid(nx=16, nt=48, T=0.25)).to_csv(path)
+        rows = path.read_text().splitlines()
+        if defect == "empty":
+            rows = []
+        elif defect == "ragged_row":
+            rows[5] = rows[5].rsplit(",", 1)[0]
+        else:
+            header = rows[0].split(",")
+            header[3] = "0.3"
+            rows[0] = ",".join(header)
+        path.write_text("".join(row + "\n" for row in rows))
+        assert main(
+            ["rate", "--config", cfg, "--target", str(path),
+             "--out", str(tmp_path / "x")]
+        ) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("burgerslab: cannot read field file")
+        assert "Traceback" not in err
+
+
+def test_control_csv_round_trip(tmp_path):
+    g = Grid(nx=8, nt=11, T=0.1)
+    vals = np.random.default_rng(17).standard_normal((g.nt, g.nx - 1))
+    path = tmp_path / "control.csv"
+    _field_to_csv(vals, g, str(path), "control")
+    back, bg = read_field_csv(str(path))
+    assert bg == g
+    assert np.array_equal(back, vals)
 
 
 class TestGirsanovCheck:

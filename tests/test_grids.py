@@ -279,6 +279,20 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.frames, u.frames)
 
 
+def test_csv_round_trip_keeps_grid_exactly(tmp_path):
+    # 11 * (0.1 / 11) is 0.10000000000000002: the last t node must be T itself
+    g = Grid(nx=8, nt=11, T=0.1)
+    assert g.t_nodes()[-1] == g.T
+    rng = np.random.default_rng(RNG_SEED + 8)
+    frames = rng.standard_normal((g.nt + 1, g.nx + 1))
+    frames[:, 0] = frames[:, -1] = 0.0
+    p = tmp_path / "field.csv"
+    SpaceTimeField(frames, g).to_csv(p)
+    back = SpaceTimeField.from_csv(p)
+    assert back.grid == g
+    assert np.array_equal(back.frames, frames)
+
+
 def test_csv_layout(tmp_path):
     g = Grid(nx=4, nt=4, T=1.0)
     u = SpaceTimeField.zero(g)

@@ -179,3 +179,15 @@ def test_csv_round_trip(tmp_path):
     assert back.grid == g
     assert back.seed == w.seed
     assert np.array_equal(back.dW, w.dW)
+
+
+def test_csv_round_trip_keeps_grid_exactly(tmp_path):
+    g = Grid(nx=8, nt=11, T=0.1)
+    w = sample_sheet(g, SeedSpec(42, 5))
+    p = tmp_path / "sheet.csv"
+    sheet_to_csv(w, p)
+    assert p.read_text().startswith(f"seed={w.seed},")
+    back = sheet_from_csv(p)
+    assert back.grid == g
+    assert back.seed == w.seed
+    assert np.array_equal(back.dW, w.dW)

@@ -87,16 +87,12 @@ class TestSigmaSpec:
 class TestSolverConfig:
     def test_defaults_valid(self):
         cfg = SolverConfig()
-        assert cfg.scheme == "semi_implicit"
-        assert cfg.flux_form == "conservative_central"
         assert 0 < cfg.fp_tol <= 1e-3
         assert cfg.fp_max_iter >= 10
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"scheme": "explicit"},
-            {"flux_form": "upwind"},
             {"fp_tol": 0.0},
             {"fp_tol": 2e-3},
             {"fp_max_iter": 5},

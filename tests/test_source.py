@@ -22,3 +22,12 @@ def test_one_thread_pool():
         for path in Path(burgerslab.__file__).parent.glob("*.py")
     )
     assert count == 1
+
+
+def test_one_csv_reader():
+    # every lattice CSV is parsed by grids.read_lattice_csv
+    counts = {
+        path.name: path.read_text().count("csv.reader(")
+        for path in Path(burgerslab.__file__).parent.glob("*.py")
+    }
+    assert {name: n for name, n in counts.items() if n} == {"grids.py": 1}
