@@ -93,6 +93,8 @@ class TestSolverConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
+            {"fp_tol": -1e-4},
+            {"fp_max_iter": 9},
             {"fp_tol": 0.0},
             {"fp_tol": 2e-3},
             {"fp_max_iter": 5},
