@@ -59,6 +59,7 @@ DEFAULTS = {
     },
     "solver": {"fp_tol": 1e-4, "fp_max_iter": 40},
     "kernel": {"truncation": 50, "method": "auto"},
+    # max_iter bounds the CGLS route only; the exact route is one sweep
     "rate": {"tol": 1e-6, "max_iter": 2000},
     "girsanov": {"n_sheets": 20000, "eps": 1e-3, "route_tol": 1e-10},
     "output": {"dir": ".", "format": "csv"},
@@ -200,6 +201,11 @@ def _build_schedule(spec: dict) -> ScalingSchedule:
     raise ConfigError(f"schedule.kind must be clt|moderate|ldp, got {kind!r}")
 
 
+def _positive(x: float) -> bool:
+    """x > 0 and finite (NaN passes a bare `x <= 0` rejection)."""
+    return math.isfinite(x) and x > 0
+
+
 def validate_config(cfg: dict, threads: int, timestamp: bool) -> RunConfig:
     try:
         g = Grid(
@@ -230,13 +236,13 @@ def validate_config(cfg: dict, threads: int, timestamp: bool) -> RunConfig:
         )
         rate_tol = float(cfg["rate"]["tol"])
         rate_max_iter = int(cfg["rate"]["max_iter"])
-        if rate_tol <= 0 or rate_max_iter < 1:
-            raise ValueError("rate.tol must be positive and rate.max_iter >= 1")
+        if not _positive(rate_tol) or rate_max_iter < 1:
+            raise ValueError("rate.tol must be positive and finite, rate.max_iter >= 1")
         n_sheets = int(cfg["girsanov"]["n_sheets"])
         geps = float(cfg["girsanov"]["eps"])
         rtol = float(cfg["girsanov"]["route_tol"])
-        if n_sheets < 2 or geps <= 0 or rtol <= 0:
-            raise ValueError("girsanov needs n_sheets >= 2 and positive eps/route_tol")
+        if n_sheets < 2 or not (_positive(geps) and _positive(rtol)):
+            raise ValueError("girsanov needs n_sheets >= 2 and positive, finite eps/route_tol")
         fmt = cfg["output"]["format"]
         if fmt not in ("csv", "json", "both"):
             raise ValueError(f"output.format must be csv|json|both, got {fmt!r}")
@@ -401,6 +407,7 @@ def cmd_rate(rc: RunConfig, target_path: str | None) -> int:
     _field_to_csv(result.v_star.values, rc.grid, v_path, "control")
     payload = {"metadata": _metadata(rc, "rate")}
     payload.update(result.to_json_dict(v_star_csv_path="v_star.csv"))
+    payload.update(method=result.method, residual_history=list(result.residual_history))
     _write_json(payload, os.path.join(rc.out_dir, "rate_result.json"))
     return EXIT_OK
 

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from burgerslab import ratefn
 from burgerslab.cli import (
     DEFAULTS,
     EXIT_CHECK,
@@ -18,7 +19,7 @@ from burgerslab.cli import (
 )
 from burgerslab.grids import Control, Grid, SpaceField, SpaceTimeField, ht_norm
 from burgerslab.ratefn import SkeletonContext, apply_forward
-from burgerslab.solvers import SigmaSpec
+from burgerslab.solvers import SigmaSpec, heat_solve
 
 
 def write_config(tmp_path, name, data):
@@ -74,6 +75,31 @@ class TestConfig:
     def test_unknown_env_key_rejected(self, monkeypatch):
         monkeypatch.setenv("BURGERSLAB_GRID__BOGUS", "1")
         assert main(["mc", "--dump-config"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("rate", "RATE__TOL", "inf"),
+            ("girsanov-check", "GIRSANOV__ROUTE_TOL", "NaN"),
+            ("girsanov-check", "GIRSANOV__EPS", "inf"),
+        ],
+    )
+    def test_non_finite_tolerance_rejected(
+        self, tmp_path, monkeypatch, capsys, command, key, value
+    ):
+        g = Grid(nx=16, nt=32, T=0.25)
+        cfg = write_config(
+            tmp_path, "c.json", {"grid": {"nx": 16, "nt": 32, "T": 0.25},
+                                 "girsanov": {"n_sheets": 50}}
+        )
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "run"), "--no-timestamp"]
+        if command == "rate":
+            target = tmp_path / "zero.csv"
+            SpaceTimeField.zero(g).to_csv(target)
+            argv += ["--target", str(target)]
+        monkeypatch.setenv(f"BURGERSLAB_{key}", value)
+        assert main(argv) == EXIT_USAGE
+        assert key.split("__")[1].lower() in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- commands
@@ -261,6 +287,28 @@ class TestRate:
         assert result["v_star_csv_path"] == "v_star.csv"
         v_vals, _ = read_field_csv(str(out / "v_star.csv"))
         assert v_vals.shape == (48, 15)
+
+    def test_exact_route_runs_one_sweep(self, tmp_path, monkeypatch):
+        # one forward sweep verifies the back-substituted control; no adjoint
+        calls = []
+
+        def counting_solve(factor, rhs):
+            calls.append(1)
+            return heat_solve(factor, rhs)
+
+        cfg = write_config(tmp_path, "c.json", self.CFG)
+        target, _ = self._target(tmp_path)
+        monkeypatch.setattr(ratefn, "heat_solve", counting_solve)
+        out = tmp_path / "run"
+        assert main(
+            ["rate", "--config", cfg, "--target", target, "--out", str(out),
+             "--no-timestamp"]
+        ) == EXIT_OK
+        result = json.loads((out / "rate_result.json").read_text())
+        assert len(calls) == 48
+        assert result["method"] == "exact"
+        assert result["iterations"] == 1
+        assert len(result["residual_history"]) == 2
 
     def test_zero_target(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", self.CFG)

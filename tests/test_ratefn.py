@@ -14,6 +14,9 @@ from burgerslab.ratefn import (
     TIKHONOV_LAMBDAS,
     RateResult,
     SkeletonContext,
+    _cgls,
+    _exact_preimage,
+    _sup_l2,
     apply_adjoint,
     apply_forward,
     rate_value,
@@ -215,3 +218,55 @@ class TestRateValue:
             "v_star_csv_path": "v.csv",
         }
         assert isinstance(res, RateResult)
+
+
+# ------------------------------------------------------------ exact route
+
+
+class TestExactRoute:
+    def test_cgls_converges_to_exact_preimage(self):
+        g, ctx = make_ctx(nx=16, nt=32)
+        target = apply_forward(smooth_control(g, 11, 0.7), ctx).frames[1:, 1:-1]
+        v_cgls, _, residual, _ = _cgls(ctx, target, 1e-12, 5000)
+        assert residual <= 1e-12
+        assert ht_norm(v_cgls - _exact_preimage(ctx, target), g) <= 1e-6
+
+    def test_recovers_generating_control(self):
+        g, ctx = make_ctx()
+        v0 = smooth_control(g, 11, 0.7)
+        res = rate_value(apply_forward(v0, ctx), ctx, tol=1e-6, max_iter=2000)
+        assert res.method == "exact"
+        assert res.iterations == 1
+        assert len(res.residual_history) == 2
+        assert np.abs(res.v_star.values - v0.values).max() <= 1e-10
+
+    def test_vanishing_sigma_takes_cgls_route(self):
+        # sigma(u) = 0 for u <= 0.5, which u_det crosses: no unique preimage
+        g = Grid(nx=16, nt=32, T=0.25)
+        u0 = SpaceField.sample(g, lambda x: np.sin(np.pi * x))
+        sigma = SigmaSpec.tabulated((-2.0, 0.5, 2.0), (0.0, 0.0, 1.0))
+        ctx = SkeletonContext.build(u0, g, sigma)
+        assert np.any(ctx._forcing == 0.0)
+        f = apply_forward(smooth_control(g, 11, 0.7), ctx)
+        res = rate_value(f, ctx, tol=1e-6, max_iter=2000)
+        target = f.frames[1:, 1:-1]
+        threshold = 1e-6 * min(1.0, _sup_l2(target, g))
+        vals, history, residual, iters = _cgls(ctx, target, threshold, 2000)
+        assert res.method == "cgls"
+        assert res.attained
+        assert np.array_equal(res.v_star.values, vals)
+        assert res.residual_history == history
+        assert (res.residual, res.iterations) == (residual, iters)
+
+    @pytest.mark.parametrize("fallback, method", [(False, "cgls"), (True, "tikhonov")])
+    def test_rough_target_method(self, fallback, method):
+        g, ctx = make_ctx(nx=24, nt=128)
+        res = rate_value(random_field(g, 77), ctx, tol=1e-6, max_iter=30, fallback=fallback)
+        assert not res.attained
+        assert res.method == method
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan])
+    def test_non_finite_tol_rejected(self, tol):
+        g, ctx = make_ctx(nx=16, nt=32)
+        with pytest.raises(ValueError):
+            rate_value(SpaceTimeField.zero(g), ctx, tol=tol)
