@@ -59,7 +59,7 @@ DEFAULTS = {
     },
     "solver": {"fp_tol": 1e-4, "fp_max_iter": 40},
     "kernel": {"truncation": 50, "method": "auto"},
-    # max_iter bounds the CGLS route only; the exact route is one sweep
+    # max_iter bounds CGLS, run only on targets the one-sweep exact route rejects
     "rate": {"tol": 1e-6, "max_iter": 2000},
     "girsanov": {"n_sheets": 20000, "eps": 1e-3, "route_tol": 1e-10},
     "output": {"dir": ".", "format": "csv"},
@@ -407,7 +407,6 @@ def cmd_rate(rc: RunConfig, target_path: str | None) -> int:
     _field_to_csv(result.v_star.values, rc.grid, v_path, "control")
     payload = {"metadata": _metadata(rc, "rate")}
     payload.update(result.to_json_dict(v_star_csv_path="v_star.csv"))
-    payload.update(method=result.method, residual_history=list(result.residual_history))
     _write_json(payload, os.path.join(rc.out_dir, "rate_result.json"))
     return EXIT_OK
 

@@ -4,25 +4,28 @@ The skeleton map sends a control v to the linear response field it forces
 around the deterministic trajectory.  The energy functional of a target
 profile f is the smallest ½ (H_T norm)² over controls whose response equals
 f.  On the lattice the map is square (nt·(nx−1) in and out) and block
-lower-triangular in time, with diagonal blocks (I − dt·L)⁻¹·dt·sigma(u_det,k),
-so where sigma(u_det) does not vanish the minimizer is the unique preimage.
+lower-triangular in time, with diagonal blocks (I − dt·L)⁻¹·dt·sigma(u_det,k).
+Where sigma(u_det) vanishes the control has no effect, and since the H_T
+weights are diagonal the least-norm preimage is zero there; elsewhere it is
+unique.
 
 rate_value takes one of two routes.  The exact route back-substitutes every
 step at once (`_exact_preimage`: one vectorized pass, no time loop, no
-banded solve) and keeps the preimage only when all three hold:
+banded solve, v = 0 on the cells where sigma(u_det) is 0) and keeps the
+preimage only when all three hold:
 
-  (a) every entry is finite (a vanishing sigma(u_det) fails this);
+  (a) every entry is finite;
   (b) the lattice resolves it: the Euclidean sums of its squared first
       differences in t and in x together are at most the sum of its squares
       (the smooth test and benchmark targets read 0.01-0.10, independent
       N(0,1) cells 5.2-5.4);
-  (c) one forward sweep reproduces the target within the stopping threshold.
+  (c) one forward sweep reproduces the target within the stopping threshold;
+      on the masked cells this is the check that the step equation holds
+      with v = 0, so a target that fails it there has no preimage.
 
 Otherwise the least-norm problem is solved matrix-free by conjugate
 gradients on the normal equations (CGLS), each iteration costing one
-forward and one adjoint sweep, with a Tikhonov/L-curve fallback (Hansen,
-Rank-Deficient and Discrete Ill-Posed Problems, 1998) when CGLS stalls.
-A rough target, which the lattice does not resolve, thus keeps the
+forward and one adjoint sweep.  A rough or unattainable target keeps the
 "not attained" verdict of the stalled iteration.
 """
 
@@ -41,8 +44,6 @@ from .solvers import (
     heat_solve,
     solve_deterministic,
 )
-
-TIKHONOV_LAMBDAS = (1e-8, 1e-6, 1e-4)
 
 
 @dataclass(frozen=True)
@@ -147,8 +148,7 @@ class RateResult:
     residual: float  # sup_t L2 mismatch between the response and the target
     iterations: int
     attained: bool
-    method: str  # route that produced v_star: "exact", "cgls" or "tikhonov"
-    tikhonov_lambda: float | None = None
+    method: str  # route that produced v_star: "exact" or "cgls"
     # L2(dt dx) residual norm per iteration; non-increasing by construction
     residual_history: tuple = ()
 
@@ -158,8 +158,9 @@ class RateResult:
             "residual": self.residual,
             "iterations": self.iterations,
             "attained": self.attained,
-            "tikhonov_lambda": self.tikhonov_lambda,
             "v_star_csv_path": v_star_csv_path,
+            "method": self.method,
+            "residual_history": list(self.residual_history),
         }
 
 
@@ -186,8 +187,9 @@ def _exact_preimage(ctx: SkeletonContext, target: np.ndarray) -> np.ndarray:
     Step k of the forward sweep is
     (I − dt·L) f_{k+1} = f_k + dt·(Dx(2·u_det,k·f_k) + sigma(u_det,k)·v_k),
     so v_k follows from two consecutive target frames, with the Dirichlet
-    Laplacian applied as a tridiagonal matvec.  Entries are inf or NaN where
-    sigma(u_det) vanishes.
+    Laplacian applied as a tridiagonal matvec.  Where sigma(u_det,k) is 0
+    the control has no effect and the least-norm choice v_k = 0 is taken;
+    whether the step equation then holds there is left to the forward check.
     """
     g = ctx.grid
     frames = np.pad(target, ((1, 0), (1, 1)))
@@ -195,8 +197,11 @@ def _exact_preimage(ctx: SkeletonContext, target: np.ndarray) -> np.ndarray:
     heat = new[:, 1:-1] - g.dt / g.dx**2 * (new[:, :-2] - 2.0 * new[:, 1:-1] + new[:, 2:])
     flux = ctx._transport * old
     div = (flux[:, 2:] - flux[:, :-2]) / (2.0 * g.dx)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return (heat - old[:, 1:-1] - g.dt * div) / (g.dt * ctx._forcing)
+    step = heat - old[:, 1:-1] - g.dt * div
+    with np.errstate(over="ignore"):
+        return np.divide(
+            step, g.dt * ctx._forcing, out=np.zeros_like(step), where=ctx._forcing != 0.0
+        )
 
 
 def _exact_route(ctx: SkeletonContext, target: np.ndarray, threshold: float):
@@ -216,22 +221,15 @@ def _exact_route(ctx: SkeletonContext, target: np.ndarray, threshold: float):
     return v, history, residual, 1
 
 
-def _cgls(
-    ctx: SkeletonContext,
-    target: np.ndarray,
-    threshold: float,
-    max_iter: int,
-    lam: float = 0.0,
-):
+def _cgls(ctx: SkeletonContext, target: np.ndarray, threshold: float, max_iter: int):
     """Conjugate gradients on the normal equations in the weighted geometry.
 
     Starting from the zero control keeps every iterate in the range of the
-    adjoint, so the limit is the least-norm solution; with lam > 0 the
-    damped variant minimizes the residual plus lam times the control
-    energy.  Returns (control values, global-norm history, sup-in-time
-    residual, iterations); the history records the L2(dt dx) residual norm,
-    the quantity the iteration minimizes over nested subspaces, while the
-    stopping rule watches the sup-in-time constraint sense.
+    adjoint, so the limit is the least-norm solution.  Returns (control
+    values, global-norm history, sup-in-time residual, iterations); the
+    history records the L2(dt dx) residual norm, the quantity the iteration
+    minimizes over nested subspaces, while the stopping rule watches the
+    sup-in-time constraint sense.
     """
     g = ctx.grid
     v = np.zeros((g.nt, g.nx - 1))
@@ -241,13 +239,11 @@ def _cgls(
     if sup_res <= threshold:
         return v, tuple(history), sup_res, 0
     s = _adjoint_values(ctx, r) * (g.dx / g.interior_weights())
-    if lam:
-        s = s - lam * v
     p = s.copy()
     gamma = _control_dot(s, s, g)
     for it in range(1, max_iter + 1):
         q = _forward_frames(ctx, p)[1:, 1:-1]
-        denom = _field_dot(q, q, g) + lam * _control_dot(p, p, g)
+        denom = _field_dot(q, q, g)
         if denom <= 0.0 or not np.isfinite(denom):
             return v, tuple(history), sup_res, it - 1
         alpha = gamma / denom
@@ -258,8 +254,6 @@ def _cgls(
         if sup_res <= threshold:
             return v, tuple(history), sup_res, it
         s = _adjoint_values(ctx, r) * (g.dx / g.interior_weights())
-        if lam:
-            s = s - lam * v
         gamma_new = _control_dot(s, s, g)
         if gamma_new <= 0.0 or not np.isfinite(gamma_new):
             return v, tuple(history), sup_res, it
@@ -273,7 +267,6 @@ def rate_value(
     ctx: SkeletonContext,
     tol: float = 1e-6,
     max_iter: int = 2000,
-    fallback: bool = True,
 ) -> RateResult:
     """Least control energy whose response matches the target profile.
 
@@ -284,14 +277,14 @@ def rate_value(
     rule invariant under rescaling the target, which keeps the quadratic
     homogeneity of the energy exact to roundoff.
 
-    The exact route runs first: the back-substituted preimage is taken when
-    it is finite (a), resolved by the lattice (b) and reproduces the target
-    within that threshold under one forward sweep (c); then iterations is 1
-    and residual_history is (|f|, |f - A v|).  Any other target goes to
+    The exact route runs first: the back-substituted preimage, zero where
+    sigma(u_det) vanishes, is taken when it is finite (a), resolved by the
+    lattice (b) and reproduces the target within that threshold under one
+    forward sweep (c); then iterations is 1 and residual_history is
+    (|f|, |f - A v|).  Any other target, rough or unattainable, goes to
     CGLS, and max_iter bounds only that route.  A target still out of reach
     at max_iter is flagged as not attained — the discrete stand-in for an
-    infinite energy; with fallback enabled a damped solve over a small ridge
-    sweep reports the L-curve corner instead of the raw stall.
+    infinite energy — and reported with the last CGLS iterate.
     """
     g = ctx.grid
     if f.grid != g:
@@ -317,34 +310,6 @@ def rate_value(
         found, method = _cgls(ctx, target, threshold, max_iter), "cgls"
     vals, history, residual, iters = found
     attained = residual <= threshold
-    lam_star = None
-
-    if not attained and fallback:
-        # ridge sweep; pick the corner of the (log residual, log energy)
-        # curve by largest deviation from the chord through the endpoints
-        candidates = []
-        for lam in TIKHONOV_LAMBDAS:
-            vl, hl, rl, il = _cgls(ctx, target, threshold, max_iter, lam=lam)
-            candidates.append((lam, vl, rl, il, hl))
-        pts = [
-            (np.log(max(res, 1e-300)), 0.5 * np.log(max(_control_norm_sq(vl, g), 1e-300)))
-            for _, vl, res, _, _ in candidates
-        ]
-        if len(pts) >= 3:
-            (x0, y0), (x2, y2) = pts[0], pts[-1]
-            chord = np.hypot(x2 - x0, y2 - y0)
-            dists = [
-                abs((x2 - x0) * (y0 - y) - (x0 - x) * (y2 - y0)) / chord
-                if chord > 0
-                else 0.0
-                for x, y in pts
-            ]
-            best = int(np.argmax(dists))
-        else:
-            best = 0
-        lam_star, vals, residual, iters, history = candidates[best]
-        method = "tikhonov"
-
     value = 0.5 * _control_norm_sq(vals, g)
     v_star = Control(vals, g)
     # the reported value is recomputed from the minimizer, not accumulated
@@ -357,6 +322,5 @@ def rate_value(
         iterations=iters,
         attained=attained,
         method=method,
-        tikhonov_lambda=lam_star,
         residual_history=history,
     )

@@ -261,10 +261,10 @@ class TestKernelCheck:
 class TestRate:
     CFG = {"grid": {"nx": 16, "nt": 48, "T": 0.25}, "rate": {"tol": 1e-6, "max_iter": 600}}
 
-    def _target(self, tmp_path, scale=0.5):
+    def _target(self, tmp_path, scale=0.5, sigma=SigmaSpec.cosine(1.0)):
         g = Grid(nx=16, nt=48, T=0.25)
         u0 = SpaceField.sample(g, lambda x: np.sin(np.pi * x))
-        ctx = SkeletonContext.build(u0, g, SigmaSpec.cosine(1.0))
+        ctx = SkeletonContext.build(u0, g, sigma)
         vals = np.tile(np.sin(np.pi * g.x_interior()), (g.nt, 1))
         vals *= scale / ht_norm(vals, g)
         f = apply_forward(Control(vals, g), ctx)
@@ -309,6 +309,22 @@ class TestRate:
         assert result["method"] == "exact"
         assert result["iterations"] == 1
         assert len(result["residual_history"]) == 2
+
+    def test_vanishing_sigma_is_exact(self, tmp_path):
+        # sigma = 0 on part of u_det's range: the masked preimage attains it
+        tab = SigmaSpec.tabulated((-2.0, 0.5, 2.0), (0.0, 0.0, 1.0))
+        cfg = write_config(tmp_path, "c.json", {
+            **self.CFG, "sigma": {"kind": "tabulated", "params": [[-2, 0.5, 2], [0, 0, 1]]},
+        })
+        target, _ = self._target(tmp_path, sigma=tab)
+        out = tmp_path / "run"
+        assert main(
+            ["rate", "--config", cfg, "--target", target, "--out", str(out),
+             "--no-timestamp"]
+        ) == EXIT_OK
+        result = json.loads((out / "rate_result.json").read_text())
+        assert result["attained"] is True
+        assert result["method"] == "exact"
 
     def test_zero_target(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", self.CFG)
