@@ -183,6 +183,17 @@ class TestRateValue:
         assert res.iterations == 30
         assert np.isfinite(res.value)
 
+    def test_fallback_can_be_disabled(self):
+        # the fallback is gone for good: no parameter, and no sweep after CGLS
+        g, ctx = make_ctx(nx=24, nt=128)
+        with pytest.raises(TypeError):
+            rate_value(random_field(g, 77), ctx, max_iter=30, fallback=False)
+        res = rate_value(random_field(g, 77), ctx, tol=1e-6, max_iter=30)
+        assert not res.attained
+        assert not hasattr(res, "tikhonov_lambda")
+        assert res.iterations == 30
+        assert len(res.residual_history) == 31
+
     def test_validation(self):
         g, ctx = make_ctx(nx=16, nt=32, T=0.25)
         ok = SpaceTimeField(np.zeros((g.nt + 1, g.nx + 1)), g)
@@ -277,6 +288,17 @@ class TestExactRoute:
         assert np.isfinite(res.value)
         h = res.residual_history
         assert all(b <= a for a, b in zip(h, h[1:]))
+
+    @pytest.mark.parametrize("vanishing_sigma, method", [(False, "cgls"), (True, "cgls")])
+    def test_rough_target_method(self, vanishing_sigma, method):
+        # masking where sigma(u_det) = 0 must not let a rough target through
+        if vanishing_sigma:
+            g, ctx = vanishing_sigma_ctx(24, 128)
+        else:
+            g, ctx = make_ctx(nx=24, nt=128)
+        res = rate_value(random_field(g, 77), ctx, tol=1e-6, max_iter=30)
+        assert not res.attained
+        assert res.method == method
 
     @pytest.mark.parametrize("tol", [np.inf, np.nan])
     def test_non_finite_tol_rejected(self, tol):
