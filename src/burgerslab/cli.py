@@ -33,6 +33,8 @@ from .solvers import (
     SolverConfig,
     solve_controlled,
     solve_deterministic,
+    solve_skeleton,
+    solve_skeleton_fixed_point,
     solve_spde,
 )
 
@@ -201,13 +203,26 @@ def _build_schedule(spec: dict) -> ScalingSchedule:
     raise ConfigError(f"schedule.kind must be clt|moderate|ldp, got {kind!r}")
 
 
-def _positive(x: float) -> bool:
-    """x > 0 and finite (NaN passes a bare `x <= 0` rejection)."""
-    return math.isfinite(x) and x > 0
+def _non_finite_keys(node, path: str = "") -> list:
+    """Dotted keys holding NaN or +-inf, also as a string float() reads so."""
+    if isinstance(node, dict):
+        return [k for key, val in node.items() for k in _non_finite_keys(val, f"{path}{key}.")]
+    if isinstance(node, list):
+        return [k for val in node for k in _non_finite_keys(val, path)]
+    if isinstance(node, bool) or not isinstance(node, (int, float, str)):
+        return []
+    try:
+        return [] if math.isfinite(float(node)) else [path[:-1]]
+    except (ValueError, OverflowError):
+        return []
 
 
 def validate_config(cfg: dict, threads: int, timestamp: bool) -> RunConfig:
     try:
+        # output holds a directory name and a format name, not numbers
+        bad = _non_finite_keys({k: v for k, v in cfg.items() if k != "output"})
+        if bad:
+            raise ValueError(f"non-finite number in {', '.join(bad)}")
         g = Grid(
             nx=int(cfg["grid"]["nx"]),
             nt=int(cfg["grid"]["nt"]),
@@ -236,17 +251,17 @@ def validate_config(cfg: dict, threads: int, timestamp: bool) -> RunConfig:
         )
         rate_tol = float(cfg["rate"]["tol"])
         rate_max_iter = int(cfg["rate"]["max_iter"])
-        if not _positive(rate_tol) or rate_max_iter < 1:
-            raise ValueError("rate.tol must be positive and finite, rate.max_iter >= 1")
+        if not (rate_tol > 0 and rate_max_iter >= 1):
+            raise ValueError("rate.tol must be positive, rate.max_iter >= 1")
         n_sheets = int(cfg["girsanov"]["n_sheets"])
         geps = float(cfg["girsanov"]["eps"])
         rtol = float(cfg["girsanov"]["route_tol"])
-        if n_sheets < 2 or not (_positive(geps) and _positive(rtol)):
-            raise ValueError("girsanov needs n_sheets >= 2 and positive, finite eps/route_tol")
+        if not (n_sheets >= 2 and geps > 0 and rtol > 0):
+            raise ValueError("girsanov needs n_sheets >= 2 and positive eps/route_tol")
         fmt = cfg["output"]["format"]
         if fmt not in ("csv", "json", "both"):
             raise ValueError(f"output.format must be csv|json|both, got {fmt!r}")
-    except (ValueError, TypeError, KeyError, IndexError) as exc:
+    except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
     return RunConfig(
         grid=g,
@@ -340,8 +355,8 @@ def cmd_deterministic(rc: RunConfig) -> int:
 def cmd_simulate(rc: RunConfig, eps: float | None) -> int:
     if eps is None:
         eps = rc.mc.eps_grid[0]
-    if eps < 0:
-        raise ConfigError("eps must be nonnegative")
+    if not 0 <= eps < math.inf:
+        raise ConfigError(f"eps must be finite and nonnegative, got {eps}")
     w = sample_sheet(rc.grid, SeedSpec(rc.mc.master_seed, 0))
     u_eps = solve_spde(rc.u0, rc.grid, eps, rc.sigma, w, rc.solver)
     u_det = solve_deterministic(rc.u0, rc.grid, rc.solver)
@@ -377,14 +392,30 @@ def cmd_mc(rc: RunConfig) -> int:
 
 
 def cmd_kernel_check(rc: RunConfig) -> int:
-    report = verify_kernel_estimates(rc.grid, rc.kernel)
+    g = rc.grid
+    report = verify_kernel_estimates(g, rc.kernel)
+    # the mild fixed point against PDE stepping, for the unit sine control
+    v = _unit_profile_control(g)
+    u_det = solve_deterministic(rc.u0, g, rc.solver)
+    fp = solve_skeleton_fixed_point(rc.u0, g, v, rc.sigma, u_det, rc.solver)
+    pde = solve_skeleton(rc.u0, g, v, rc.sigma, u_det, rc.solver)
+    gap = sup_t_l2(SpaceTimeField(fp.field.frames - pde.frames, g), g)
+    budget = max(5.0 * g.dx**2, 10.0 * rc.solver.fp_tol)
+    mild = {
+        "iterations": fp.iterations,
+        "ratios": list(fp.ratios),
+        "gap": gap,
+        "budget": budget,
+        "pass": gap <= budget,
+    }
     payload = {
         "metadata": _metadata(rc, "kernel-check"),
         "items": report.to_json_list(),
         "all_pass": report.all_pass(),
+        "mild": mild,
     }
     _write_json(payload, os.path.join(rc.out_dir, "kernel_report.json"))
-    return EXIT_OK if report.all_pass() else EXIT_CHECK
+    return EXIT_OK if report.all_pass() and mild["pass"] else EXIT_CHECK
 
 
 def cmd_rate(rc: RunConfig, target_path: str | None) -> int:
@@ -519,7 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_parser("mc", parents=[common], help="Monte Carlo deviation statistics")
     sub.add_parser(
-        "kernel-check", parents=[common], help="re-measure the heat-kernel estimates"
+        "kernel-check",
+        parents=[common],
+        help="re-measure the heat-kernel estimates; check the mild fixed point",
     )
     rate = sub.add_parser(
         "rate", parents=[common], help="least control energy of a target profile"

@@ -143,14 +143,16 @@ class McConfig:
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_grid)
         object.__setattr__(self, "eps_grid", eps)
-        if not eps or any(e <= 0 or e > 1 for e in eps):
+        if not eps or not all(0 < e <= 1 for e in eps):
             raise ValueError("eps_grid entries must lie in (0, 1]")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("eps_grid must be strictly decreasing")
-        if self.n_paths < 1:
+        if not self.n_paths >= 1:
             raise ValueError("n_paths must be positive")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError("threshold must be positive and finite")
+        if not 0 < self.importance_scale < math.inf:
+            raise ValueError("importance_scale must be positive and finite")
         orders = tuple(int(q) for q in self.moment_orders)
         object.__setattr__(self, "moment_orders", orders)
         if any(q < 2 for q in orders):

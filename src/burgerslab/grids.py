@@ -60,8 +60,8 @@ class Grid:
             raise ValueError(f"nx must be >= 4, got {self.nx}")
         if self.nt < 4:
             raise ValueError(f"nt must be >= 4, got {self.nt}")
-        if not (float(self.T) > 0.0):
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not 0.0 < float(self.T) < np.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         object.__setattr__(self, "nx", int(self.nx))
         object.__setattr__(self, "nt", int(self.nt))
         object.__setattr__(self, "T", float(self.T))

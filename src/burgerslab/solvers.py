@@ -16,8 +16,10 @@ rescale); the two routes are cross-checked in the tests.
 
 The skeleton solvers carry the mild-form transport coefficient -2 on
 int int d_yG * w * u0 (equivalently +2*d_x(u0*w) after integration by
-parts); the fixed-point solver implements that mild form literally by
-quadrature and arbitrates the PDE stepping.
+parts).  The fixed-point solver evaluates that mild form in the nx - 1
+sine modes of the interior lattice, where the Dirichlet kernel is
+diagonal, with a Gauss rule in sqrt(t - s) for the history; it shares no
+code with the finite-difference stepping it arbitrates.
 """
 from __future__ import annotations
 
@@ -27,7 +29,8 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .grids import Control, DimensionError, Grid, SpaceField, SpaceTimeField
-from .kernels import KernelConfig, eval_G, eval_dG_dy
+# not called here; perfbench/child.py BOUNDARIES still wraps these two names
+from .kernels import eval_G, eval_dG_dy
 from .noise import NoiseSheet
 
 __all__ = [
@@ -333,98 +336,17 @@ class FixedPointResult:
     iterations: int
 
 
-def _history_rule(g: Grid, k: int, n_quad: int) -> tuple:
-    """Gauss-Legendre rule in r = sqrt(t_k - s) over (0, sqrt(t_k)).
+def _sine_basis(g: Grid) -> tuple:
+    """The N = nx - 1 sine modes of the interior lattice; more only alias.
 
-    The substitution carries Jacobian 2r, which cancels the kernel's
-    (t-s)^(-1/2)-type endpoint singularity.  Returns (tau, weights, s):
-    kernel times r^2, quadrature weights including the Jacobian, and the
-    history times s = t_k - r^2.
+    Returns (lam, synth, proj_G, proj_dG) with lam_n = (n pi)^2 and, over
+    interior nodes, synth = 2 sin(n pi x), proj_G = sin(n pi y) dx and
+    proj_dG = n pi cos(n pi y) dx, so that K_tau(x_i, y_j) dx is
+    sum_n synth[i, n] e^(-lam_n tau) proj[j, n] for K = G and K = d_yG.
     """
-    nodes, wts = np.polynomial.legendre.leggauss(n_quad)
-    tk = k * g.dt
-    r = 0.5 * np.sqrt(tk) * (nodes + 1.0)
-    wr = 0.5 * np.sqrt(tk) * wts * 2.0 * r
-    return r * r, wr, tk - r * r
-
-
-class _MildTransport:
-    """Quadrature operator for -2 iint d_yG(t_k - s) w(s) u0(s) dy ds.
-
-    The weighted kernel matrices per target index are data-independent, so
-    they are built once and reused across fixed-point sweeps.
-    """
-
-    def __init__(self, g: Grid, kcfg: KernelConfig, n_quad: int):
-        self.g = g
-        self.kcfg = kcfg
-        self.n_quad = n_quad
-        self.w_space = g.space_weights()[1:-1]
-        self._cache: dict = {}
-
-    def _entry(self, k: int) -> tuple:
-        if k not in self._cache:
-            g = self.g
-            xi = g.x_interior()
-            tau, wr, s = _history_rule(g, k, self.n_quad)
-            dmat = eval_dG_dy(
-                tau[:, None, None], xi[None, :, None], xi[None, None, :], self.kcfg
-            )
-            pos = np.minimum(s / g.dt, g.nt - 1e-12)
-            m = pos.astype(int)
-            theta = pos - m
-            self._cache[k] = (wr[:, None, None] * dmat, m, theta)
-        return self._cache[k]
-
-    def apply_row(self, k: int, prod_frames: np.ndarray) -> np.ndarray:
-        wdmat, m, theta = self._entry(k)
-        hist = (1.0 - theta)[:, None] * prod_frames[m, 1:-1] + theta[
-            :, None
-        ] * prod_frames[m + 1, 1:-1]
-        return -2.0 * np.einsum("qij,qj->i", wdmat, self.w_space * hist)
-
-
-def _mild_apply(
-    w_frames: np.ndarray,
-    b_frames: np.ndarray,
-    udet_frames: np.ndarray,
-    g: Grid,
-    transport: _MildTransport,
-) -> np.ndarray:
-    """One sweep of the mild map A(w) = -2 iint d_yG w u0 + b.
-
-    The history w*u0 is interpolated linearly in time between frames and
-    integrated in space by trapezoid against the kernel matrices.
-    """
-    prod = w_frames * udet_frames  # (nt+1, nx+1)
-    out = np.zeros_like(w_frames)
-    for k in range(1, g.nt + 1):
-        out[k, 1:-1] = transport.apply_row(k, prod) + b_frames[k, 1:-1]
-    return out
-
-
-def _mild_forcing(
-    v_vals: np.ndarray,
-    udet_frames: np.ndarray,
-    sigma: SigmaSpec,
-    g: Grid,
-    kcfg: KernelConfig,
-    n_quad: int,
-) -> np.ndarray:
-    """b(t_k) = int_0^{t_k} int G_{t_k - s}(x, y) sigma(u0(s,y)) v(s,y) dy ds."""
-    xi = g.x_interior()
-    w_space = g.space_weights()[1:-1]
-    sig = sigma(udet_frames[:-1, 1:-1])  # left endpoints, interior
-    force = sig * v_vals  # (nt, nx-1), piecewise constant in time
-    b = np.zeros((g.nt + 1, g.nx + 1))
-    for k in range(1, g.nt + 1):
-        tau, wr, s = _history_rule(g, k, n_quad)
-        gmat = eval_G(tau[:, None, None], xi[None, :, None], xi[None, None, :], kcfg)
-        m = np.minimum((s / g.dt).astype(int), g.nt - 1)
-        b[k, 1:-1] = np.einsum(
-            "qij,qj->i", wr[:, None, None] * gmat, w_space * force[m]
-        )
-    return b
+    npi = np.pi * np.arange(1, g.nx)
+    phase = np.outer(g.x_interior(), npi)
+    return npi**2, 2.0 * np.sin(phase), np.sin(phase) * g.dx, np.cos(phase) * npi * g.dx
 
 
 def solve_skeleton_fixed_point(
@@ -434,28 +356,56 @@ def solve_skeleton_fixed_point(
     sigma: SigmaSpec,
     u_det: SpaceTimeField,
     cfg: SolverConfig = DEFAULT_SOLVER,
-    kernel_cfg: KernelConfig = KernelConfig(),
-    n_quad: int = 32,
 ) -> FixedPointResult:
     """Skeleton via the contraction mapping of its mild form.
 
-    Iterates w <- A(w) from w = 0, where A is the affine mild map built by
-    quadrature against the kernel series, until the sup_t L2 update drops
-    below cfg.fp_tol.  Raises ContractionFailureError after cfg.fp_max_iter
-    sweeps; on long horizons, split [0, T] and concatenate windows instead.
+    Iterates w <- A(w) = -2 iint d_yG w u_det + iint G sigma(u_det) v from
+    w = 0 until the sup_t L2 update drops below cfg.fp_tol.  Each history
+    integral is projected onto the sine modes of _sine_basis (N = nx - 1,
+    set by the grid), mode n weighted by sum_q wr_q e^(-lam_n tau_q) over a
+    32-node Gauss rule in r = sqrt(t_k - s) (the Jacobian 2r cancels the
+    kernel's endpoint singularity), and summed back; w*u_det is linear in
+    time between frames, sigma(u_det)*v is held at each step's left end.
+    Raises ContractionFailureError after cfg.fp_max_iter sweeps; on long
+    horizons, split [0, T] and concatenate windows instead.
     """
     _check_u0(u0, g)
     if v.grid != g:
         raise DimensionError("control lives on a different grid")
     _check_u_det(u0, g, u_det)
 
-    b = _mild_forcing(v.values, u_det.frames, sigma, g, kernel_cfg, n_quad)
-    transport = _MildTransport(g, kernel_cfg, n_quad)
+    lam, synth, proj_G, proj_dG = _sine_basis(g)
+    nodes, wts = np.polynomial.legendre.leggauss(32)
+    tk = (np.arange(1, g.nt + 1) * g.dt)[:, None]
+    r = 0.5 * np.sqrt(tk) * (nodes + 1.0)  # (nt, 32), every t_k at once
+    wr = 0.5 * np.sqrt(tk) * wts * 2.0 * r
+    pos = np.minimum((tk - r * r) / g.dt, g.nt - 1e-12)
+    m = pos.astype(int)
+    theta = pos - m
+
+    def integrate(coeffs, interpolate):
+        acc = np.zeros((g.nt, lam.size))
+        for q in range(nodes.size):
+            hist = coeffs[m[:, q]]
+            if interpolate:
+                th = theta[:, q, None]
+                hist = (1.0 - th) * hist + th * coeffs[m[:, q] + 1]
+            acc += wr[:, q, None] * np.exp(-np.outer(r[:, q] ** 2, lam)) * hist
+        return acc @ synth.T
+
+    b = integrate((sigma(u_det.frames[:-1, 1:-1]) * v.values) @ proj_G, False)
+
+    def sweep(w):
+        out = np.zeros_like(w)
+        prod = (w * u_det.frames)[:, 1:-1] @ proj_dG
+        out[1:, 1:-1] = -2.0 * integrate(prod, True) + b
+        return out
+
     w_frames = np.zeros((g.nt + 1, g.nx + 1))
     ratios = []
     prev_update = None
     for it in range(1, cfg.fp_max_iter + 1):
-        w_next = _mild_apply(w_frames, b, u_det.frames, g, transport)
+        w_next = sweep(w_frames)
         update = float(
             np.sqrt(np.max(((w_next - w_frames) ** 2) @ g.space_weights()))
         )

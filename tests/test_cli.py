@@ -101,6 +101,32 @@ class TestConfig:
         assert main(argv) == EXIT_USAGE
         assert key.split("__")[1].lower() in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, env, flags, key",
+        [
+            ("mc", {"MC__R": "NaN"}, [], "mc.r"),
+            ("mc", {"MC__R": "Infinity"}, [], "mc.r"),
+            ("mc", {"MC__EPS_GRID": "[NaN]"}, [], "mc.eps_grid"),
+            ("mc", {"SIGMA__PARAMS": "[NaN]"}, [], "sigma.params"),
+            ("mc", {"GRID__T": "Infinity"}, [], "grid.T"),
+            ("mc", {"MC__USE_IMPORTANCE": "true", "MC__IMPORTANCE_SCALE": "-1"}, [],
+             "importance_scale"),
+            ("simulate", {}, ["--eps", "nan"], "eps"),
+            ("simulate", {}, ["--eps", "inf"], "eps"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_number_rejected(
+        self, tmp_path, monkeypatch, capsys, command, env, flags, key
+    ):
+        cfg = write_config(tmp_path, "c.json", {"grid": {"nx": 16, "nt": 32, "T": 0.25}})
+        for name, value in env.items():
+            monkeypatch.setenv(f"BURGERSLAB_{name}", value)
+        out = tmp_path / "run"
+        argv = [command, "--config", cfg, "--out", str(out), "--no-timestamp", *flags]
+        assert main(argv) == EXIT_USAGE
+        assert key in capsys.readouterr().err
+        assert not any(out.glob("*"))
+
 
 # -------------------------------------------------------------- commands
 
@@ -250,6 +276,21 @@ class TestKernelCheck:
         # the wall-flux defect is reported but never fatal
         assert "i" in items
         assert items["i-limit"]["pass"] is True
+        mild = report["mild"]
+        assert mild["pass"] is True
+        assert mild["gap"] <= mild["budget"] == max(5.0 / 16**2, 10.0 * 1e-4)
+        assert mild["iterations"] == len(mild["ratios"]) + 1
+        assert all(0.0 < r < 1.0 for r in mild["ratios"])
+
+    def test_mild_contraction_failure_exits_3(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {
+            "grid": {"nx": 32, "nt": 64, "T": 0.25},
+            "initial": {"kind": "sine", "amplitude": 25.0, "mode": 1},
+            "solver": {"fp_max_iter": 12},
+        })
+        assert main(
+            ["kernel-check", "--config", cfg, "--out", str(tmp_path / "run"), "--no-timestamp"]
+        ) == EXIT_NUMERICAL
 
     def test_single_t_range_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"grid": {"nx": 16, "nt": 1, "T": 0.5}})

@@ -131,6 +131,11 @@ class TestMcConfig:
             {"threshold": 0.0},
             {"moment_orders": (1,)},
             {"threads": 0},
+            {"eps_grid": (float("nan"),)},
+            {"threshold": float("nan")},
+            {"threshold": float("inf")},
+            {"importance_scale": -1.0},
+            {"importance_scale": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

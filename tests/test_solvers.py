@@ -1,4 +1,6 @@
 """Tests for the semi-implicit solver family."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from burgerslab.grids import (
     ht_norm,
     sup_t_l2,
 )
+from burgerslab.kernels import eval_G, eval_dG_dy
 from burgerslab.noise import SeedSpec, girsanov_shift, sample_sheet
 from burgerslab.solvers import (
     ContractionFailureError,
@@ -23,6 +26,7 @@ from burgerslab.solvers import (
     solve_skeleton_fixed_point,
     solve_spde,
 )
+from burgerslab.solvers import _sine_basis
 from burgerslab.deviations import ScalingSchedule, deviation_field
 
 
@@ -381,3 +385,35 @@ class TestSkeletonFixedPoint:
                 u_det,
                 SolverConfig(fp_tol=1e-5, fp_max_iter=12),
             )
+
+
+class TestSineSeriesMild:
+    @pytest.mark.parametrize("tau", [3e-3, 1e-2, 0.05, 0.2, 1.0])
+    def test_basis_matches_kernel_series(self, tau):
+        g = Grid(nx=32, nt=64)
+        lam, synth, proj_G, proj_dG = _sine_basis(g)
+        decay = np.exp(-lam * tau)[:, None]
+        xi = g.x_interior()
+        G = eval_G(tau, xi[:, None], xi[None, :])
+        dG = eval_dG_dy(tau, xi[:, None], xi[None, :])
+        assert np.max(np.abs(synth @ (decay * proj_G.T) / g.dx - G)) < 1e-12
+        assert np.max(np.abs(synth @ (decay * proj_dG.T) / g.dx - dG)) < 1e-10
+
+    def test_default_grid_within_budget_and_memory(self):
+        g = Grid(nx=64, nt=256, T=1.0)
+        u0 = sin_field(g)
+        u_det = solve_deterministic(u0, g)
+        vals = np.tile(np.sin(np.pi * g.x_interior()), (g.nt, 1))
+        v = Control(vals / ht_norm(vals, g), g)
+        sig = SigmaSpec.cosine(1.0)
+        cfg = SolverConfig()
+        tracemalloc.start()
+        try:
+            res = solve_skeleton_fixed_point(u0, g, v, sig, u_det, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.ratios and all(r < 1.0 for r in res.ratios)
+        pde = solve_skeleton(u0, g, v, sig, u_det, cfg)
+        assert diff_sup(res.field, pde, g) <= max(5.0 * g.dx**2, 10.0 * cfg.fp_tol)
+        assert peak <= 8 * 2**20
