@@ -32,7 +32,6 @@ from .grids import (
 from .kernels import (
     EstimateItem,
     EstimateReport,
-    KernelConfig,
     KernelDomainError,
     eval_G,
     eval_dG_dy,
@@ -81,7 +80,6 @@ __all__ = [
     "FixedPointResult",
     "Grid",
     "InstabilityError",
-    "KernelConfig",
     "KernelDomainError",
     "McConfig",
     "NoiseSheet",

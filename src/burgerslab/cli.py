@@ -3,7 +3,8 @@
 Every subcommand is a pure function of the configuration file and the
 flags: defaults, then file values, then environment overrides, then flags,
 in increasing precedence.  Fields and controls go to CSV in the lattice
-layout of burgerslab.grids (read_field_csv reads either), structured
+layout of burgerslab.grids (read_field_csv reads either), fields with
+--format json in the layout SpaceTimeField.from_json reads, structured
 reports to JSON; with --no-timestamp a rerun reproduces every output byte
 for byte.
 """
@@ -23,7 +24,7 @@ from . import __version__
 from .deviations import McConfig, ScalingSchedule, _map_chunks, deviation_field, mc_run
 from .grids import Control, Grid, SpaceField, SpaceTimeField, ht_norm, sup_t_l2
 from .grids import read_lattice_csv, write_lattice_csv
-from .kernels import KernelConfig, verify_kernel_estimates
+from .kernels import verify_kernel_estimates
 from .noise import SeedSpec, girsanov_log_density, girsanov_shift, sample_sheet
 from .ratefn import SkeletonContext, rate_value
 from .solvers import (
@@ -60,7 +61,6 @@ DEFAULTS = {
         "importance_scale": 0.5,
     },
     "solver": {"fp_tol": 1e-4, "fp_max_iter": 40},
-    "kernel": {"truncation": 50, "method": "auto"},
     # max_iter bounds CGLS, run only on targets the one-sweep exact route rejects
     "rate": {"tol": 1e-6, "max_iter": 2000},
     "girsanov": {"n_sheets": 20000, "eps": 1e-3, "route_tol": 1e-10},
@@ -155,7 +155,6 @@ class RunConfig:
     schedule: ScalingSchedule
     mc: McConfig
     solver: SolverConfig
-    kernel: KernelConfig
     rate_tol: float
     rate_max_iter: int
     girsanov_n_sheets: int
@@ -217,12 +216,34 @@ def _non_finite_keys(node, path: str = "") -> list:
         return []
 
 
+# keys read with int(), which would truncate a fractional value without a word
+INT_KEYS = (
+    "grid.nx", "grid.nt", "initial.mode", "mc.n_paths", "mc.seed", "mc.q_list",
+    "solver.fp_max_iter", "rate.max_iter", "girsanov.n_sheets",
+)
+
+
+def _non_integral_keys(cfg: dict) -> list:
+    """INT_KEYS holding a float with a fractional part, also as a list entry."""
+    bad = []
+    for key in INT_KEYS:
+        section, name = key.split(".")
+        val = cfg[section][name]
+        vals = val if isinstance(val, list) else [val]
+        if any(isinstance(v, float) and not v.is_integer() for v in vals):
+            bad.append(key)
+    return bad
+
+
 def validate_config(cfg: dict, threads: int, timestamp: bool) -> RunConfig:
     try:
         # output holds a directory name and a format name, not numbers
         bad = _non_finite_keys({k: v for k, v in cfg.items() if k != "output"})
         if bad:
             raise ValueError(f"non-finite number in {', '.join(bad)}")
+        bad = _non_integral_keys(cfg)
+        if bad:
+            raise ValueError(f"non-integral value in {', '.join(bad)}")
         g = Grid(
             nx=int(cfg["grid"]["nx"]),
             nt=int(cfg["grid"]["nt"]),
@@ -245,10 +266,6 @@ def validate_config(cfg: dict, threads: int, timestamp: bool) -> RunConfig:
             fp_tol=float(cfg["solver"]["fp_tol"]),
             fp_max_iter=int(cfg["solver"]["fp_max_iter"]),
         )
-        kernel = KernelConfig(
-            truncation=int(cfg["kernel"]["truncation"]),
-            method=str(cfg["kernel"]["method"]),
-        )
         rate_tol = float(cfg["rate"]["tol"])
         rate_max_iter = int(cfg["rate"]["max_iter"])
         if not (rate_tol > 0 and rate_max_iter >= 1):
@@ -270,7 +287,6 @@ def validate_config(cfg: dict, threads: int, timestamp: bool) -> RunConfig:
         schedule=schedule,
         mc=mc,
         solver=solver,
-        kernel=kernel,
         rate_tol=rate_tol,
         rate_max_iter=rate_max_iter,
         girsanov_n_sheets=n_sheets,
@@ -311,26 +327,12 @@ def read_field_csv(path: str) -> tuple:
         raise ConfigError(f"cannot read field file {path}: {exc}") from exc
 
 
-def _field_to_json_dict(frames: np.ndarray, g: Grid) -> dict:
-    return {
-        "nx": g.nx,
-        "nt": g.nt,
-        "T": g.T,
-        "frames": [[float(x) for x in row] for row in frames],
-    }
-
-
-def _emit_field(rc: RunConfig, frames: np.ndarray, stem: str) -> list:
-    written = []
+def _emit_field(rc: RunConfig, frames: np.ndarray, stem: str) -> None:
     if rc.fmt in ("csv", "both"):
-        path = os.path.join(rc.out_dir, f"{stem}.csv")
-        _field_to_csv(frames, rc.grid, path, "field")
-        written.append(path)
+        _field_to_csv(frames, rc.grid, os.path.join(rc.out_dir, f"{stem}.csv"), "field")
     if rc.fmt in ("json", "both"):
-        path = os.path.join(rc.out_dir, f"{stem}.json")
-        _write_json(_field_to_json_dict(frames, rc.grid), path)
-        written.append(path)
-    return written
+        doc = SpaceTimeField(frames, rc.grid).to_json_dict()
+        _write_json(doc, os.path.join(rc.out_dir, f"{stem}.json"))
 
 
 def _energies(frames: np.ndarray, g: Grid) -> list:
@@ -393,7 +395,7 @@ def cmd_mc(rc: RunConfig) -> int:
 
 def cmd_kernel_check(rc: RunConfig) -> int:
     g = rc.grid
-    report = verify_kernel_estimates(g, rc.kernel)
+    report = verify_kernel_estimates(g)
     # the mild fixed point against PDE stepping, for the unit sine control
     v = _unit_profile_control(g)
     u_det = solve_deterministic(rc.u0, g, rc.solver)

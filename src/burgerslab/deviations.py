@@ -149,6 +149,8 @@ class McConfig:
             raise ValueError("eps_grid must be strictly decreasing")
         if not self.n_paths >= 1:
             raise ValueError("n_paths must be positive")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError("master_seed must lie in [0, 2**64)")
         if not 0 < self.threshold < math.inf:
             raise ValueError("threshold must be positive and finite")
         if not 0 < self.importance_scale < math.inf:

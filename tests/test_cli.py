@@ -60,6 +60,10 @@ class TestConfig:
         cfg = write_config(tmp_path, "c.json", {"grid": {"nx": 8, "typo": 1}})
         assert main(["mc", "--config", cfg, "--dump-config"]) == EXIT_USAGE
         assert "unknown config key: grid.typo" in capsys.readouterr().err
+        # the heat kernel takes no configuration
+        cfg = write_config(tmp_path, "k.json", {"kernel": {"method": "auto"}})
+        assert main(["kernel-check", "--config", cfg, "--dump-config"]) == EXIT_USAGE
+        assert "unknown config key: kernel" in capsys.readouterr().err
 
     def test_parse_error_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -72,9 +76,14 @@ class TestConfig:
         assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == EXIT_USAGE
         assert "n_paths" in capsys.readouterr().err
 
-    def test_unknown_env_key_rejected(self, monkeypatch):
+    def test_unknown_env_key_rejected(self, monkeypatch, capsys):
         monkeypatch.setenv("BURGERSLAB_GRID__BOGUS", "1")
         assert main(["mc", "--dump-config"]) == EXIT_USAGE
+        monkeypatch.delenv("BURGERSLAB_GRID__BOGUS")
+        monkeypatch.setenv("BURGERSLAB_KERNEL__METHOD", "spectral")
+        capsys.readouterr()
+        assert main(["kernel-check", "--dump-config"]) == EXIT_USAGE
+        assert "BURGERSLAB_KERNEL__METHOD: unknown section" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, key, value",
@@ -113,6 +122,14 @@ class TestConfig:
              "importance_scale"),
             ("simulate", {}, ["--eps", "nan"], "eps"),
             ("simulate", {}, ["--eps", "inf"], "eps"),
+            ("mc", {}, ["--seed", "-1"], "master_seed"),
+            ("girsanov-check", {}, ["--seed", "-1"], "master_seed"),
+            ("simulate", {}, ["--seed", "18446744073709551616"], "master_seed"),
+            ("deterministic", {"GRID__NX": "16.7"}, [], "grid.nx"),
+            ("mc", {"MC__N_PATHS": "20.9"}, [], "mc.n_paths"),
+            ("mc", {"MC__Q_LIST": "[2, 2.5]"}, [], "mc.q_list"),
+            ("mc", {"MC__SEED": "0.5"}, [], "mc.seed"),
+            ("girsanov-check", {"GIRSANOV__N_SHEETS": "100.5"}, [], "girsanov.n_sheets"),
         ],
     )
     def test_non_finite_or_out_of_range_number_rejected(
@@ -126,6 +143,15 @@ class TestConfig:
         assert main(argv) == EXIT_USAGE
         assert key in capsys.readouterr().err
         assert not any(out.glob("*"))
+
+    def test_integral_float_accepted_for_integer_key(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BURGERSLAB_GRID__NX", "16.0")
+        cfg = write_config(tmp_path, "c.json", SMALL_GRID)
+        out = tmp_path / "run"
+        assert main(
+            ["deterministic", "--config", cfg, "--out", str(out), "--no-timestamp"]
+        ) == EXIT_OK
+        assert read_field_csv(str(out / "solution.csv"))[1] == Grid(nx=16, nt=48, T=0.5)
 
 
 # -------------------------------------------------------------- commands
@@ -176,8 +202,13 @@ class TestDeterministic:
         ) == EXIT_OK
         assert (out / "solution.csv").exists()
         payload = json.loads((out / "solution.json").read_text())
-        assert payload["nx"] == 24
+        assert payload["grid"]["nx"] == 24
         assert len(payload["frames"]) == 49
+        # the library reads the CLI's JSON field back, bit for bit
+        field = SpaceTimeField.from_json(out / "solution.json")
+        frames, g = read_field_csv(str(out / "solution.csv"))
+        assert field.grid == g
+        assert np.array_equal(field.frames, frames)
 
 
 class TestSimulate:

@@ -136,6 +136,8 @@ class TestMcConfig:
             {"threshold": float("inf")},
             {"importance_scale": -1.0},
             {"importance_scale": float("inf")},
+            {"master_seed": -1},
+            {"master_seed": 2**64},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
