@@ -39,14 +39,20 @@ DG_002 = -1.0955187808023901  # dG/dy(0.02, 0.25, 0.75)
 MASS_005_CENTER = 0.7723116068585906  # mass(0.05, 0.5)
 
 
-def test_domain_error_for_nonpositive_t():
-    for t in (0.0, -0.5, np.array([0.1, 0.0])):
-        with pytest.raises(KernelDomainError):
-            eval_G(t, 0.3, 0.4)
-        with pytest.raises(KernelDomainError):
-            eval_dG_dy(t, 0.3, 0.4)
-        with pytest.raises(KernelDomainError):
-            kernel_mass(t, 0.4)
+# ids: the bad time sits among times the sine series (cfg0), the image
+# sum (cfg1) or both sides of the switch (cfg2) would otherwise take
+@pytest.mark.parametrize(
+    "others", [[0.5], [0.001], [0.001, 0.5]], ids=["cfg0", "cfg1", "cfg2"]
+)
+def test_domain_error_for_nonpositive_t(others):
+    for bad in (0.0, -0.5, np.inf):
+        for t in (bad, np.array(others + [bad])):
+            with pytest.raises(KernelDomainError):
+                eval_G(t, 0.3, 0.4)
+            with pytest.raises(KernelDomainError):
+                eval_dG_dy(t, 0.3, 0.4)
+            with pytest.raises(KernelDomainError):
+                kernel_mass(t, 0.4)
 
 
 # ids: cfg0 the sine series, cfg1 the image sum, cfg2 the time switch
