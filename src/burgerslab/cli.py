@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .deviations import McConfig, ScalingSchedule, _map_chunks, deviation_field, mc_run
 from .grids import Control, Grid, SpaceField, SpaceTimeField, ht_norm, sup_t_l2
-from .grids import read_lattice_csv, write_lattice_csv
+from .grids import frame_norms, read_lattice_csv, write_lattice_csv
 from .kernels import verify_kernel_estimates
 from .noise import SeedSpec, girsanov_log_density, girsanov_shift, sample_sheet
 from .ratefn import SkeletonContext, rate_value
@@ -335,10 +335,6 @@ def _emit_field(rc: RunConfig, frames: np.ndarray, stem: str) -> None:
         _write_json(doc, os.path.join(rc.out_dir, f"{stem}.json"))
 
 
-def _energies(frames: np.ndarray, g: Grid) -> list:
-    return [float(x) for x in np.sqrt((frames**2) @ g.space_weights())]
-
-
 # ------------------------------------------------------------- commands
 
 
@@ -347,7 +343,7 @@ def cmd_deterministic(rc: RunConfig) -> int:
     _emit_field(rc, field.frames, "solution")
     summary = {
         "metadata": _metadata(rc, "deterministic"),
-        "energy": _energies(field.frames, rc.grid),
+        "energy": frame_norms(field.frames, rc.grid).tolist(),
         "sup_t_l2": sup_t_l2(field, rc.grid),
     }
     _write_json(summary, os.path.join(rc.out_dir, "summary.json"))
@@ -376,9 +372,7 @@ def cmd_simulate(rc: RunConfig, eps: float | None) -> int:
         "seed": rc.mc.master_seed,
         "schedule": {"kind": rc.schedule.kind, "theta": rc.schedule.theta},
         "sup_t_l2_solution": sup_t_l2(u_eps, rc.grid),
-        "sup_t_l2_deviation": sup_t_l2(
-            SpaceTimeField(dev_frames, rc.grid), rc.grid
-        ),
+        "sup_t_l2_deviation": sup_t_l2(dev_frames, rc.grid),
     }
     _write_json(summary, os.path.join(rc.out_dir, "summary.json"))
     return EXIT_OK
@@ -401,7 +395,7 @@ def cmd_kernel_check(rc: RunConfig) -> int:
     u_det = solve_deterministic(rc.u0, g, rc.solver)
     fp = solve_skeleton_fixed_point(rc.u0, g, v, rc.sigma, u_det, rc.solver)
     pde = solve_skeleton(rc.u0, g, v, rc.sigma, u_det, rc.solver)
-    gap = sup_t_l2(SpaceTimeField(fp.field.frames - pde.frames, g), g)
+    gap = sup_t_l2(fp.field.frames - pde.frames, g)
     budget = max(5.0 * g.dx**2, 10.0 * rc.solver.fp_tol)
     mild = {
         "iterations": fp.iterations,
@@ -484,7 +478,7 @@ def cmd_girsanov_check(rc: RunConfig) -> int:
         rc.schedule,
         eps,
     )
-    gap = sup_t_l2(SpaceTimeField(direct.frames - via.frames, g), g)
+    gap = sup_t_l2(direct.frames - via.frames, g)
     route_pass = gap <= rc.girsanov_route_tol
 
     payload = {

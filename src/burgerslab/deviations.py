@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Control, DimensionError, Grid, SpaceField, SpaceTimeField
+from .grids import Control, Grid, SpaceField, SpaceTimeField, frame_norms, same_grid, sup_t_l2
 from .noise import SeedSpec, _log_density, sample_sheet
 from .solvers import (
     DEFAULT_SOLVER,
@@ -119,10 +119,18 @@ def deviation_field(
     eps: float,
 ) -> SpaceTimeField:
     """Framewise (u_eps - u_det) / a(eps)."""
-    if u_eps.grid != u_det.grid:
-        raise DimensionError("fields live on different grids")
+    same_grid(u_eps.grid, u_det=u_det)
     scale = sched.a(eps)
     return SpaceTimeField((u_eps.frames - u_det.frames) / scale, u_eps.grid)
+
+
+def _whole(x, name: str) -> int:
+    """x as an int; ValueError unless it is a whole number such as 3 or 3.0."""
+    if isinstance(x, (int, np.integer)) or (
+        isinstance(x, (float, np.floating)) and float(x).is_integer()
+    ):
+        return int(x)
+    raise ValueError(f"{name} must be a whole number, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -147,6 +155,8 @@ class McConfig:
             raise ValueError("eps_grid entries must lie in (0, 1]")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("eps_grid must be strictly decreasing")
+        for name in ("n_paths", "master_seed", "threads"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if not self.n_paths >= 1:
             raise ValueError("n_paths must be positive")
         if not 0 <= self.master_seed < 2**64:
@@ -155,7 +165,7 @@ class McConfig:
             raise ValueError("threshold must be positive and finite")
         if not 0 < self.importance_scale < math.inf:
             raise ValueError("importance_scale must be positive and finite")
-        orders = tuple(int(q) for q in self.moment_orders)
+        orders = tuple(_whole(q, "moment orders") for q in self.moment_orders)
         object.__setattr__(self, "moment_orders", orders)
         if any(q < 2 for q in orders):
             raise ValueError("moment orders must be integers >= 2")
@@ -288,7 +298,6 @@ def _run_paths_chunk(
     the banded solve treats right-hand-side columns independently.
     """
     E = len(eps_values)
-    w_space = g.space_weights()
     sqrt_eps = np.sqrt(np.asarray(eps_values, dtype=float))[:, None, None]
 
     def rhs(k, U):
@@ -298,15 +307,14 @@ def _run_paths_chunk(
 
     U = np.tile(u0_vals, (E * B, 1))
     peak = np.zeros(E * B)
-    sup_u = np.sqrt((U**2) @ w_space)
+    sup_u = frame_norms(U, g)
     sup_diff = np.zeros(E * B)
     with np.errstate(over="ignore", invalid="ignore"):
         # heat_solve under this module's name: a wrapper on it sees every step
         for n, U in _march(factor, U, g.nt, rhs, heat_solve):
             np.maximum(peak, np.abs(U).max(axis=1), out=peak)
-            np.maximum(sup_u, np.sqrt((U**2) @ w_space), out=sup_u)
-            diff = U - udet_frames[n]
-            np.maximum(sup_diff, np.sqrt((diff**2) @ w_space), out=sup_diff)
+            np.maximum(sup_u, frame_norms(U, g), out=sup_u)
+            np.maximum(sup_diff, frame_norms(U - udet_frames[n], g), out=sup_diff)
     return sup_u.reshape(E, B), sup_diff.reshape(E, B), (peak <= SUP_GUARD).reshape(E, B)
 
 
@@ -334,13 +342,15 @@ def _importance_pass(
     unbiased.  As in the plain pass, a chunk draws its sheets once and
     steps every eps in one batch; row block e adds eps e's shift per step.
     Returns one (p_hat, ci_low, ci_high, failed_fraction) per eps, where a
-    path fails if it blows up or its weight is not finite.
+    path fails if it blows up or its weight is not finite; none at all when
+    the skeleton response is identically zero (sigma vanishes along u_det),
+    so that no tilt can move a path.
     """
     profile = np.tile(np.sin(np.pi * g.x_interior()), (g.nt, 1))
     response = solve_skeleton(u0, g, Control(profile, g), sigma, u_det)
-    unit_sup = float(
-        np.max(np.sqrt((response.frames**2) @ g.space_weights()))
-    )
+    unit_sup = sup_t_l2(response, g)
+    if unit_sup == 0.0:
+        return []
     strength = mc.importance_scale * mc.threshold / unit_sup
     v_vals = strength * profile
     a_vals = np.array([sched.a(e) for e in eps_values])[:, None]
@@ -390,10 +400,10 @@ def mc_run(
     are dropped; a record with more than 1% failures is marked invalid.
     With use_importance, every eps with too few plain hits takes its
     p_hat from one shared tilted pass, and its failed fraction is the
-    larger of the two passes'.
+    larger of the two passes'; where no tilt moves the skeleton response,
+    the plain records stand.
     """
-    if u0.grid != g:
-        raise DimensionError("initial condition lives on a different grid")
+    same_grid(g, u0=u0)
     u_det = solve_deterministic(u0, g, cfg)
     factor = heat_factor(g)
 
@@ -420,6 +430,7 @@ def mc_run(
     if tilted:
         tilted_eps = tuple(mc.eps_grid[e] for e in tilted)
         passes = _importance_pass(u0, g, tilted_eps, sigma, sched, mc, u_det, factor)
+        tilted = tilted if passes else []
         for e, (p_hat, ci_low, ci_high, failed) in zip(tilted, passes):
             estimates[e] = (p_hat, ci_low, ci_high, max(failed, estimates[e][3]))
 
@@ -524,8 +535,7 @@ def tail_check(
     Gaussian-tail signature; the fitted slope scales like 1/||sigma||_inf^2,
     so doubling a constant sigma divides the decay rate by about four.
     """
-    if u0.grid != g:
-        raise DimensionError("initial condition lives on a different grid")
+    same_grid(g, u0=u0)
     factor = heat_factor(g)
 
     def chunk_sups(indices):

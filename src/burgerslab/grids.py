@@ -2,8 +2,12 @@
 
 Everything downstream (noise sheets, solvers, norms, the rate function)
 lives on the lattice defined here: nodes x_j = j/nx, t_k = k*T/nt, fields
-pinned to zero at x = 0 and x = 1.  Norms are fixed quadratures: trapezoid
-in space, left rectangles in time.
+pinned to zero at x = 0 and x = 1.  The lattice's rules live here only:
+`_freeze` validates and freezes every lattice array (noise sheets too),
+`same_grid` checks grid agreement, and the norms are fixed quadratures,
+left rectangles in time: the deviation event's per-frame trapezoid L2 norm
+(`frame_norms`, `sup_t_l2`) and the rate function's H_T inner product on
+interior weights (`ht_dot`, `ht_norm`).
 
 CSV files share one layout: a header row (corner label, x nodes), then one
 row per time (t node, values).  Node data (nt+1, nx+1), e.g. a field, lists
@@ -26,8 +30,11 @@ __all__ = [
     "DimensionError",
     "write_lattice_csv",
     "read_lattice_csv",
+    "same_grid",
+    "frame_norms",
     "l2_norm",
     "sup_t_l2",
+    "ht_dot",
     "ht_norm",
 ]
 
@@ -36,11 +43,29 @@ class DimensionError(ValueError):
     """A field's shape does not match the grid it claims to live on."""
 
 
-def _as_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+def _freeze(obj, name: str, shape: tuple, walls: bool = False) -> None:
+    """Set frozen obj.<name> to a finite, read-only, C-ordered float copy.
+
+    Checks in order: finite (ValueError), shape (DimensionError), zero walls
+    if asked (ValueError).
+    """
+    what = type(obj).__name__
+    vals = np.array(getattr(obj, name), dtype=float, order="C")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{what}.{name} contains non-finite entries")
+    if vals.shape != shape:
+        raise DimensionError(f"{what} needs shape {shape}, got {vals.shape}")
+    if walls and (np.any(vals[..., 0] != 0.0) or np.any(vals[..., -1] != 0.0)):
+        raise ValueError(f"{what} must vanish at x=0 and x=1 (Dirichlet walls)")
+    vals.setflags(write=False)
+    object.__setattr__(obj, name, vals)
+
+
+def same_grid(g: Grid, **named) -> None:
+    """DimensionError naming the first keyword whose object's .grid is not g."""
+    for name, obj in named.items():
+        if obj.grid != g:
+            raise DimensionError(f"{name} lives on {obj.grid}, not on {g}")
 
 
 @dataclass(frozen=True)
@@ -104,13 +129,6 @@ class Grid:
         return w
 
 
-def _check_boundary(values: np.ndarray, what: str) -> None:
-    col0 = values[..., 0]
-    col1 = values[..., -1]
-    if np.any(col0 != 0.0) or np.any(col1 != 0.0):
-        raise ValueError(f"{what} must vanish at x=0 and x=1 (Dirichlet walls)")
-
-
 @dataclass(frozen=True)
 class SpaceField:
     """Values at the nx+1 space nodes of one time slice; zero at the walls."""
@@ -119,15 +137,7 @@ class SpaceField:
     grid: Grid
 
     def __post_init__(self):
-        vals = _as_float_array(self.values, "SpaceField.values")
-        if vals.shape != (self.grid.nx + 1,):
-            raise DimensionError(
-                f"SpaceField needs {self.grid.nx + 1} values, got shape {vals.shape}"
-            )
-        _check_boundary(vals, "SpaceField")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        _freeze(self, "values", (self.grid.nx + 1,), walls=True)
 
     @staticmethod
     def zero(grid: Grid) -> "SpaceField":
@@ -149,16 +159,7 @@ class SpaceTimeField:
     grid: Grid
 
     def __post_init__(self):
-        vals = _as_float_array(self.frames, "SpaceTimeField.frames")
-        if vals.shape != (self.grid.nt + 1, self.grid.nx + 1):
-            raise DimensionError(
-                f"SpaceTimeField needs shape {(self.grid.nt + 1, self.grid.nx + 1)},"
-                f" got {vals.shape}"
-            )
-        _check_boundary(vals, "SpaceTimeField")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "frames", vals)
+        _freeze(self, "frames", (self.grid.nt + 1, self.grid.nx + 1), walls=True)
 
     @staticmethod
     def zero(grid: Grid) -> "SpaceTimeField":
@@ -208,15 +209,7 @@ class Control:
     grid: Grid
 
     def __post_init__(self):
-        vals = _as_float_array(self.values, "Control.values")
-        if vals.shape != (self.grid.nt, self.grid.nx - 1):
-            raise DimensionError(
-                f"Control needs shape {(self.grid.nt, self.grid.nx - 1)},"
-                f" got {vals.shape}"
-            )
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        _freeze(self, "values", (self.grid.nt, self.grid.nx - 1))
 
     @staticmethod
     def zero(grid: Grid) -> "Control":
@@ -267,37 +260,45 @@ def read_lattice_csv(path) -> tuple[str, np.ndarray, Grid]:
     return rows[0][0], np.array([[float(v) for v in r[1:]] for r in body]), grid
 
 
-def _require_grid(field_grid: Grid, g: Grid, what: str) -> None:
-    if field_grid != g:
-        raise DimensionError(f"{what} lives on {field_grid}, not on {g}")
+def _lattice_array(x, shape: tuple) -> np.ndarray:
+    """x as a float array; DimensionError unless it has the given shape."""
+    vals = np.asarray(x, dtype=float)
+    if vals.shape != shape:
+        raise DimensionError(f"array needs shape {shape}, got {vals.shape}")
+    return vals
+
+
+def frame_norms(frames: np.ndarray, g: Grid) -> np.ndarray:
+    """Trapezoid L2 norm of each row of node data (..., nx+1)."""
+    return np.sqrt(frames**2 @ g.space_weights())
 
 
 def l2_norm(f: SpaceField, g: Grid) -> float:
     """Trapezoid L2 norm of one space slice."""
-    _require_grid(f.grid, g, "SpaceField")
-    return float(np.sqrt(np.dot(g.space_weights(), f.values**2)))
+    same_grid(g, SpaceField=f)
+    return float(frame_norms(f.values, g))
 
 
-def _frame_l2_sq(frames: np.ndarray, g: Grid) -> np.ndarray:
-    """Squared trapezoid L2 norm of each row of a (n, nx+1) array."""
-    return frames**2 @ g.space_weights()
+def sup_t_l2(u: SpaceTimeField | np.ndarray, g: Grid) -> float:
+    """max over time slices of the trapezoid L2 norm.
+
+    u is a field on g or its frames as a plain (nt+1, nx+1) array.
+    """
+    if isinstance(u, SpaceTimeField):
+        same_grid(g, SpaceTimeField=u)
+        u = u.frames
+    return float(np.max(frame_norms(_lattice_array(u, (g.nt + 1, g.nx + 1)), g)))
 
 
-def sup_t_l2(u: SpaceTimeField, g: Grid) -> float:
-    """max over time slices of the trapezoid L2 norm."""
-    _require_grid(u.grid, g, "SpaceTimeField")
-    return float(np.sqrt(np.max(_frame_l2_sq(u.frames, g))))
+def ht_dot(a: np.ndarray, b: np.ndarray, g: Grid) -> float:
+    """H_T inner product of two control arrays: interior weights, left rectangles."""
+    return float(g.dt * np.sum((a * b) @ g.interior_weights()))
 
 
 def ht_norm(v: Control | np.ndarray, g: Grid) -> float:
-    """Discrete L2(dt x dx) norm of a control (left rectangles in time)."""
+    """H_T norm of a control on g, or of its (nt, nx-1) values: sqrt(ht_dot(v, v))."""
     if isinstance(v, Control):
-        _require_grid(v.grid, g, "Control")
-        vals = v.values
-    else:
-        vals = np.asarray(v, dtype=float)
-        if vals.shape != (g.nt, g.nx - 1):
-            raise DimensionError(
-                f"control array needs shape {(g.nt, g.nx - 1)}, got {vals.shape}"
-            )
-    return float(np.sqrt(g.dt * np.sum((vals**2) @ g.interior_weights())))
+        same_grid(g, Control=v)
+        v = v.values
+    vals = _lattice_array(v, (g.nt, g.nx - 1))
+    return float(np.sqrt(ht_dot(vals, vals, g)))

@@ -171,9 +171,6 @@ class EstimateItem:
 class EstimateReport:
     items: tuple
 
-    def __iter__(self):
-        return iter(self.items)
-
     def __getitem__(self, key: str) -> EstimateItem:
         for it in self.items:
             if it.item == key:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Control, DimensionError, Grid, read_lattice_csv, write_lattice_csv
+from .grids import Control, Grid, _freeze, read_lattice_csv, same_grid, write_lattice_csv
 
 __all__ = [
     "SeedSpec",
@@ -62,17 +62,7 @@ class NoiseSheet:
     grid: Grid
 
     def __post_init__(self):
-        arr = np.asarray(self.dW, dtype=float)
-        if arr.shape != (self.grid.nt, self.grid.nx - 1):
-            raise DimensionError(
-                f"NoiseSheet needs shape {(self.grid.nt, self.grid.nx - 1)},"
-                f" got {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("NoiseSheet increments must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "dW", arr)
+        _freeze(self, "dW", (self.grid.nt, self.grid.nx - 1))
         object.__setattr__(self, "seed", int(self.seed))
 
 
@@ -85,18 +75,13 @@ def sample_sheet(g: Grid, s: SeedSpec) -> NoiseSheet:
     return NoiseSheet(dW=dW, seed=key, grid=g)
 
 
-def _require_same_grid(w: NoiseSheet, v: Control) -> None:
-    if w.grid != v.grid:
-        raise DimensionError("noise sheet and control live on different grids")
-
-
 def girsanov_shift(w: NoiseSheet, v: Control, h: float) -> NoiseSheet:
     """Sheet of the drift-shifted field: dW~ = dW + h*v*dt*dx.
 
     The returned sheet keeps the base sheet's stream key: it is derived
     data, not a fresh draw.
     """
-    _require_same_grid(w, v)
+    same_grid(w.grid, control=v)
     g = w.grid
     return NoiseSheet(w.dW + h * v.values * (g.dt * g.dx), seed=w.seed, grid=g)
 
@@ -115,7 +100,7 @@ def _log_density(dW: np.ndarray, v: np.ndarray, h, g: Grid) -> np.ndarray:
 
 def girsanov_log_density(w: NoiseSheet, v: Control, h: float) -> float:
     """log dQ/dP for the shift by h*v: -h*sum(v dW) - (h^2/2)*dt*dx*sum(v^2)."""
-    _require_same_grid(w, v)
+    same_grid(w.grid, control=v)
     return float(_log_density(w.dW, v.values, h, w.grid))
 
 

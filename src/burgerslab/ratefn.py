@@ -33,12 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Control, DimensionError, Grid, SpaceField, SpaceTimeField, ht_norm
+from .grids import Control, Grid, SpaceField, SpaceTimeField, ht_dot, ht_norm, same_grid
 from .solvers import (
     DEFAULT_SOLVER,
     SigmaSpec,
     SolverConfig,
-    _check_u0,
     _skeleton_frames,
     heat_factor,
     heat_solve,
@@ -59,7 +58,6 @@ class SkeletonContext:
     grid: Grid
     sigma: SigmaSpec
     u_det: SpaceTimeField
-    cfg: SolverConfig
     _factor: tuple
     _transport: np.ndarray  # (nt, nx+1): 2 * u_det frame, full grid
     _forcing: np.ndarray  # (nt, nx-1): sigma(u_det) on interior nodes
@@ -72,7 +70,7 @@ class SkeletonContext:
         sigma: SigmaSpec,
         cfg: SolverConfig = DEFAULT_SOLVER,
     ) -> "SkeletonContext":
-        _check_u0(u0, g)
+        same_grid(g, u0=u0)
         u_det = solve_deterministic(u0, g, cfg)
         frames = u_det.frames[:-1]
         return cls(
@@ -80,7 +78,6 @@ class SkeletonContext:
             grid=g,
             sigma=sigma,
             u_det=u_det,
-            cfg=cfg,
             _factor=heat_factor(g),
             _transport=2.0 * frames,
             _forcing=sigma(frames[:, 1:-1]),
@@ -96,12 +93,15 @@ def _forward_frames(ctx: SkeletonContext, v_values: np.ndarray) -> np.ndarray:
 
 
 def _adjoint_values(ctx: SkeletonContext, field_int: np.ndarray) -> np.ndarray:
-    """Euclidean transpose of the forward sweep on frames 1..nt.
+    """Weighted adjoint of the forward sweep on frames 1..nt, interior nodes.
 
-    It runs backward in time, in a loop of its own.  The centered flux
-    divergence with wall padding is skew-symmetric, so its transpose is its
-    negative; the implicit heat factor is symmetric and transposes to the
-    same banded solve.
+    The Euclidean transpose runs backward in time, in a loop of its own.
+    The centered flux divergence with wall padding is skew-symmetric, so
+    its transpose is its negative; the implicit heat factor is symmetric
+    and transposes to the same banded solve.  The response side pairs with
+    dt*dx (trapezoid on fields vanishing at the walls) and the control side
+    with ht_dot, so the transpose is rescaled per column by dx over the
+    interior weight on return.
     """
     g = ctx.grid
     out = np.empty((g.nt, g.nx - 1))
@@ -114,29 +114,22 @@ def _adjoint_values(ctx: SkeletonContext, field_int: np.ndarray) -> np.ndarray:
         full[1:-1] = psi
         dpsi = (full[2:] - full[:-2]) / (2.0 * g.dx)
         phi = psi - g.dt * ctx._transport[k][1:-1] * dpsi
-    return out
+    return out * (g.dx / g.interior_weights())
 
 
 def apply_forward(v: Control, ctx: SkeletonContext) -> SpaceTimeField:
     """Response field of a control: the zero-noise deviation it forces."""
-    if v.grid != ctx.grid:
-        raise DimensionError("control lives on a different grid")
+    same_grid(ctx.grid, v=v)
     return SpaceTimeField(_forward_frames(ctx, v.values), ctx.grid)
 
 
 def apply_adjoint(field: SpaceTimeField, ctx: SkeletonContext) -> Control:
     """Adjoint of the response map between the weighted inner products.
 
-    The response side pairs with dt*dx (trapezoid on fields vanishing at
-    the walls); the control side carries the interior quadrature weights,
-    so the weighted adjoint is the plain transpose rescaled per column by
-    dx over the interior weight.
+    A Control wrapping _adjoint_values on the field's frames 1..nt.
     """
-    g = ctx.grid
-    if field.grid != g:
-        raise DimensionError("field lives on a different grid")
-    plain = _adjoint_values(ctx, field.frames[1:, 1:-1])
-    return Control(plain * (g.dx / g.interior_weights()), g)
+    same_grid(ctx.grid, field=field)
+    return Control(_adjoint_values(ctx, field.frames[1:, 1:-1]), ctx.grid)
 
 
 @dataclass(frozen=True)
@@ -169,16 +162,8 @@ def _sup_l2(values: np.ndarray, g: Grid) -> float:
     return float(np.sqrt(np.max((values**2).sum(axis=1)) * g.dx))
 
 
-def _control_norm_sq(values: np.ndarray, g: Grid) -> float:
-    return float(g.dt * np.sum((values**2) @ g.interior_weights()))
-
-
 def _field_dot(a: np.ndarray, b: np.ndarray, g: Grid) -> float:
     return float(g.dt * g.dx * np.sum(a * b))
-
-
-def _control_dot(a: np.ndarray, b: np.ndarray, g: Grid) -> float:
-    return float(g.dt * np.sum((a * b) @ g.interior_weights()))
 
 
 def _exact_preimage(ctx: SkeletonContext, target: np.ndarray) -> np.ndarray:
@@ -235,12 +220,12 @@ def _cgls(ctx: SkeletonContext, target: np.ndarray, threshold: float, max_iter: 
     v = np.zeros((g.nt, g.nx - 1))
     r = target.copy()
     sup_res = _sup_l2(r, g)
-    history = [float(np.sqrt(g.dt * g.dx * np.sum(r * r)))]
+    history = [float(np.sqrt(_field_dot(r, r, g)))]
     if sup_res <= threshold:
         return v, tuple(history), sup_res, 0
-    s = _adjoint_values(ctx, r) * (g.dx / g.interior_weights())
+    s = _adjoint_values(ctx, r)
     p = s.copy()
-    gamma = _control_dot(s, s, g)
+    gamma = ht_dot(s, s, g)
     for it in range(1, max_iter + 1):
         q = _forward_frames(ctx, p)[1:, 1:-1]
         denom = _field_dot(q, q, g)
@@ -250,11 +235,11 @@ def _cgls(ctx: SkeletonContext, target: np.ndarray, threshold: float, max_iter: 
         v = v + alpha * p
         r = r - alpha * q
         sup_res = _sup_l2(r, g)
-        history.append(float(np.sqrt(g.dt * g.dx * np.sum(r * r))))
+        history.append(float(np.sqrt(_field_dot(r, r, g))))
         if sup_res <= threshold:
             return v, tuple(history), sup_res, it
-        s = _adjoint_values(ctx, r) * (g.dx / g.interior_weights())
-        gamma_new = _control_dot(s, s, g)
+        s = _adjoint_values(ctx, r)
+        gamma_new = ht_dot(s, s, g)
         if gamma_new <= 0.0 or not np.isfinite(gamma_new):
             return v, tuple(history), sup_res, it
         p = s + (gamma_new / gamma) * p
@@ -287,8 +272,7 @@ def rate_value(
     infinite energy — and reported with the last CGLS iterate.
     """
     g = ctx.grid
-    if f.grid != g:
-        raise DimensionError("target lives on a different grid")
+    same_grid(g, f=f)
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
     if max_iter < 1:
@@ -310,7 +294,7 @@ def rate_value(
         found, method = _cgls(ctx, target, threshold, max_iter), "cgls"
     vals, history, residual, iters = found
     attained = residual <= threshold
-    value = 0.5 * _control_norm_sq(vals, g)
+    value = 0.5 * ht_dot(vals, vals, g)
     v_star = Control(vals, g)
     # the reported value is recomputed from the minimizer, not accumulated
     if not abs(value - 0.5 * ht_norm(v_star, g) ** 2) <= 1e-12 * max(1.0, value):

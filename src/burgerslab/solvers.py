@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .grids import Control, DimensionError, Grid, SpaceField, SpaceTimeField
+from .grids import Control, Grid, SpaceField, SpaceTimeField, same_grid, sup_t_l2
 # not called here; perfbench/child.py BOUNDARIES still wraps these two names
 from .kernels import eval_G, eval_dG_dy
 from .noise import NoiseSheet
@@ -191,16 +191,11 @@ def _guarded(frames: np.ndarray, g: Grid) -> SpaceTimeField:
     return SpaceTimeField(frames, g)
 
 
-def _check_u0(u0: SpaceField, g: Grid) -> None:
-    if u0.grid != g:
-        raise DimensionError("initial condition lives on a different grid")
-
-
 def solve_deterministic(
     u0: SpaceField, g: Grid, cfg: SolverConfig = DEFAULT_SOLVER
 ) -> SpaceTimeField:
     """Viscous Burgers with the noise switched off."""
-    _check_u0(u0, g)
+    same_grid(g, u0=u0)
 
     def rhs(k, u):
         return u[1:-1] + g.dt * flux_divergence(u, g.dx)
@@ -217,11 +212,9 @@ def solve_spde(
     cfg: SolverConfig = DEFAULT_SOLVER,
 ) -> SpaceTimeField:
     """Stochastic Burgers driven by sqrt(eps) * sigma(u) * white noise."""
-    _check_u0(u0, g)
+    same_grid(g, u0=u0, w=w)
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    if w.grid != g:
-        raise DimensionError("noise sheet lives on a different grid")
     sqrt_eps = np.sqrt(eps)
 
     def rhs(k, u):
@@ -258,11 +251,9 @@ def solve_controlled(
     deviation_field(solve_spde(girsanov_shift(w, v, h)), solve_deterministic)
     up to floating-point rounding.
     """
-    _check_u0(u0, g)
+    same_grid(g, u0=u0, w=w, v=v)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if w.grid != g or v.grid != g:
-        raise DimensionError("control or noise sheet lives on a different grid")
     a_val = float(schedule.a(eps))
     h_val = float(schedule.h(eps))
     udet = solve_deterministic(u0, g, cfg).frames
@@ -277,9 +268,8 @@ def solve_controlled(
     return _guarded(_frames(np.zeros(g.nx + 1), g, rhs, heat_factor(g)), g)
 
 
-def _check_u_det(u0: SpaceField, g: Grid, u_det: SpaceTimeField) -> None:
-    if u_det.grid != g:
-        raise DimensionError("deterministic limit lives on a different grid")
+def _check_skeleton_args(u0: SpaceField, g: Grid, v: Control, u_det: SpaceTimeField) -> None:
+    same_grid(g, u0=u0, v=v, u_det=u_det)
     if not np.array_equal(u_det.frames[0], u0.values):
         raise ValueError("u_det does not start from the supplied initial condition")
 
@@ -315,10 +305,7 @@ def solve_skeleton(
     int int d_yG * ubar * u_det (integration by parts flips the sign onto
     the flux).  Linear in v by construction.
     """
-    _check_u0(u0, g)
-    if v.grid != g:
-        raise DimensionError("control lives on a different grid")
-    _check_u_det(u0, g, u_det)
+    _check_skeleton_args(u0, g, v, u_det)
     base = u_det.frames[:-1]
     forcing = sigma(base[:, 1:-1])
     return _guarded(_skeleton_frames(g, heat_factor(g), 2.0 * base, forcing, v.values), g)
@@ -369,10 +356,7 @@ def solve_skeleton_fixed_point(
     Raises ContractionFailureError after cfg.fp_max_iter sweeps; on long
     horizons, split [0, T] and concatenate windows instead.
     """
-    _check_u0(u0, g)
-    if v.grid != g:
-        raise DimensionError("control lives on a different grid")
-    _check_u_det(u0, g, u_det)
+    _check_skeleton_args(u0, g, v, u_det)
 
     lam, synth, proj_G, proj_dG = _sine_basis(g)
     nodes, wts = np.polynomial.legendre.leggauss(32)
@@ -406,9 +390,7 @@ def solve_skeleton_fixed_point(
     prev_update = None
     for it in range(1, cfg.fp_max_iter + 1):
         w_next = sweep(w_frames)
-        update = float(
-            np.sqrt(np.max(((w_next - w_frames) ** 2) @ g.space_weights()))
-        )
+        update = sup_t_l2(w_next - w_frames, g)
         if prev_update is not None and prev_update > 0:
             ratios.append(update / prev_update)
         if update < cfg.fp_tol:

@@ -138,6 +138,12 @@ class TestMcConfig:
             {"importance_scale": float("inf")},
             {"master_seed": -1},
             {"master_seed": 2**64},
+            {"n_paths": 20.9},
+            {"master_seed": 1.5},
+            {"threads": 1.5},
+            {"moment_orders": (2.5,)},
+            {"moment_orders": (2, 3.5)},
+            {"n_paths": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -145,6 +151,16 @@ class TestMcConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             McConfig(**base)
+
+    def test_integral_floats_stored_as_int(self):
+        mc = McConfig(
+            eps_grid=(1e-2,), n_paths=20.0, threshold=0.1,
+            moment_orders=(2.0, 4), master_seed=3.0, threads=2.0,
+        )
+        assert (mc.n_paths, mc.master_seed, mc.threads) == (20, 3, 2)
+        assert mc.moment_orders == (2, 4)
+        assert all(type(x) is int for x in (mc.n_paths, mc.master_seed, mc.threads))
+        assert all(type(q) is int for q in mc.moment_orders)
 
 
 class TestWilsonInterval:
@@ -331,12 +347,12 @@ class TestImportanceSampling:
     THRESHOLD = 0.2032001886166812  # calibrated so the plain estimate is ~2e-3
     BASE = dict(eps_grid=(2.5e-3,), n_paths=2000, threshold=THRESHOLD, master_seed=4242)
 
-    def _run(self, **kwargs):
+    def _run(self, sigma=SigmaSpec.cosine(1.0), **kwargs):
         u0 = SpaceField.sample(self.G, SIN)
         return mc_run(
             u0,
             self.G,
-            SigmaSpec.cosine(1.0),
+            sigma,
             ScalingSchedule.moderate(0.25),
             McConfig(**{**self.BASE, **kwargs}),
         ).records[0]
@@ -366,6 +382,19 @@ class TestImportanceSampling:
         # overlapping confidence intervals
         assert 3e-4 <= rec.p_hat <= 6e-3
         assert rec.ci_low <= plain.ci_high and plain.ci_low <= rec.ci_high
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [SigmaSpec.constant(0.0), SigmaSpec.tabulated((-2, 2, 3), (0, 0, 1))],
+        ids=["zero", "zero-on-u_det"],
+    )
+    def test_vanishing_sigma_keeps_plain_record(self, sigma):
+        # sigma(u_det) = 0 everywhere: the skeleton response to any tilt is
+        # 0, so no tilt can move a path and the plain record stands
+        rec = self._run(sigma, use_importance=True, n_paths=64)
+        assert rec.method == "plain"
+        assert (rec.p_hat, rec.ci_low, rec.failed_fraction) == (0.0, 0.0, 0.0)
+        assert rec.valid
 
 
 # ------------------------------------------------------------- tail probe

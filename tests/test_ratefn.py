@@ -71,7 +71,7 @@ class TestApplyForward:
         g, ctx = make_ctx()
         v = smooth_control(g, 1, 0.8)
         fwd = apply_forward(v, ctx)
-        ref = solve_skeleton(ctx.u0, g, v, ctx.sigma, ctx.u_det, ctx.cfg)
+        ref = solve_skeleton(ctx.u0, g, v, ctx.sigma, ctx.u_det)
         assert np.array_equal(fwd.frames, ref.frames)
 
     def test_additivity(self):

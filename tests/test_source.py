@@ -31,3 +31,14 @@ def test_one_csv_reader():
         for path in Path(burgerslab.__file__).parent.glob("*.py")
     }
     assert {name: n for name, n in counts.items() if n} == {"grids.py": 1}
+
+
+def test_lattice_rules_live_in_grids():
+    # array validation, grid agreement and the norms are written once, in grids.py
+    needles = ("setflags(", "DimensionError(", "space_weights()", ".grid != ")
+    found = {
+        path.name: [n for n in needles if n in path.read_text()]
+        for path in Path(burgerslab.__file__).parent.glob("*.py")
+        if path.name != "grids.py"
+    }
+    assert {name: n for name, n in found.items() if n} == {}
