@@ -294,8 +294,10 @@ def _run_paths_chunk(
     shared by every eps without a copy.
     Returns (sup_u, sup_diff, alive), each (len(eps_values), B): per-path
     sup_t of the solution's L2 norm, sup_t of ||u - u_det||_2 (unscaled),
-    and the sup-norm guard.  The arithmetic per path matches solve_spde:
-    the banded solve treats right-hand-side columns independently.
+    and the sup-norm guard.  The arithmetic per path matches solve_spde
+    bit for bit: every other operation is elementwise or per row, and
+    heat_solve (LAPACK ?pttrs) runs each right-hand-side column through the
+    same scalar recurrence, never mixing columns or blocking by batch width.
     """
     E = len(eps_values)
     sqrt_eps = np.sqrt(np.asarray(eps_values, dtype=float))[:, None, None]

@@ -11,7 +11,7 @@ unique.
 
 rate_value takes one of two routes.  The exact route back-substitutes every
 step at once (`_exact_preimage`: one vectorized pass, no time loop, no
-banded solve, v = 0 on the cells where sigma(u_det) is 0) and keeps the
+heat solve, v = 0 on the cells where sigma(u_det) is 0) and keeps the
 preimage only when all three hold:
 
   (a) every entry is finite;
@@ -33,7 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Control, Grid, SpaceField, SpaceTimeField, ht_dot, ht_norm, same_grid
+from .grids import (
+    Control,
+    Grid,
+    SpaceField,
+    SpaceTimeField,
+    ht_dot,
+    ht_norm,
+    same_grid,
+    sup_t_l2,
+)
 from .solvers import (
     DEFAULT_SOLVER,
     SigmaSpec,
@@ -97,8 +106,8 @@ def _adjoint_values(ctx: SkeletonContext, field_int: np.ndarray) -> np.ndarray:
 
     The Euclidean transpose runs backward in time, in a loop of its own.
     The centered flux divergence with wall padding is skew-symmetric, so
-    its transpose is its negative; the implicit heat factor is symmetric
-    and transposes to the same banded solve.  The response side pairs with
+    its transpose is its negative; I - dt*L is symmetric, so its inverse
+    transposes to the same LDL^T heat_solve.  The response side pairs with
     dt*dx (trapezoid on fields vanishing at the walls) and the control side
     with ht_dot, so the transpose is rescaled per column by dx over the
     interior weight on return.
@@ -157,9 +166,9 @@ class RateResult:
         }
 
 
-def _sup_l2(values: np.ndarray, g: Grid) -> float:
-    """sup over frames of the interior trapezoid L2 norm (walls are zero)."""
-    return float(np.sqrt(np.max((values**2).sum(axis=1)) * g.dx))
+# np.pad widths that put interior frames 1..nt back on the full lattice:
+# the zero frame 0 and the zero walls, as sup_t_l2 expects
+_FULL_LATTICE = ((1, 0), (1, 1))
 
 
 def _field_dot(a: np.ndarray, b: np.ndarray, g: Grid) -> float:
@@ -199,7 +208,7 @@ def _exact_route(ctx: SkeletonContext, target: np.ndarray, threshold: float):
     if not roughness <= np.sum(v**2):
         return None
     r = target - _forward_frames(ctx, v)[1:, 1:-1]
-    residual = _sup_l2(r, g)
+    residual = sup_t_l2(np.pad(r, _FULL_LATTICE), g)
     if not residual <= threshold:
         return None
     history = tuple(float(np.sqrt(_field_dot(x, x, g))) for x in (target, r))
@@ -219,7 +228,7 @@ def _cgls(ctx: SkeletonContext, target: np.ndarray, threshold: float, max_iter: 
     g = ctx.grid
     v = np.zeros((g.nt, g.nx - 1))
     r = target.copy()
-    sup_res = _sup_l2(r, g)
+    sup_res = sup_t_l2(np.pad(r, _FULL_LATTICE), g)
     history = [float(np.sqrt(_field_dot(r, r, g)))]
     if sup_res <= threshold:
         return v, tuple(history), sup_res, 0
@@ -234,7 +243,7 @@ def _cgls(ctx: SkeletonContext, target: np.ndarray, threshold: float, max_iter: 
         alpha = gamma / denom
         v = v + alpha * p
         r = r - alpha * q
-        sup_res = _sup_l2(r, g)
+        sup_res = sup_t_l2(np.pad(r, _FULL_LATTICE), g)
         history.append(float(np.sqrt(_field_dot(r, r, g))))
         if sup_res <= threshold:
             return v, tuple(history), sup_res, it
@@ -283,7 +292,7 @@ def rate_value(
         raise ValueError("target must vanish at the walls")
 
     target = f.frames[1:, 1:-1]
-    sup_f = _sup_l2(target, g)
+    sup_f = sup_t_l2(f, g)
     threshold = tol * min(1.0, sup_f) if sup_f > 0 else 0.0
 
     # when the zero control already meets the threshold, CGLS returns it

@@ -1,7 +1,8 @@
 """Semi-implicit time steppers for the Burgers family of equations.
 
 Every forward time loop runs through one stepping engine, _march:
-implicit Dirichlet Laplacian (tridiagonal, Cholesky-prefactored once),
+implicit Dirichlet Laplacian (symmetric positive definite tridiagonal,
+LDL^T-factored once per grid by LAPACK ?pttrf),
 explicit conservative central flux, per-cell noise dW/(dt*dx), each step
     (I - dt*L) u^{k+1} = u^k + dt*Dx(flux) + forcing_k ,
 so there is no dt <= dx^2/2 constraint.  The state is one path (nx+1,) or
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import lapack
 
 from .grids import Control, Grid, SpaceField, SpaceTimeField, same_grid, sup_t_l2
 # not called here; perfbench/child.py BOUNDARIES still wraps these two names
@@ -137,17 +138,29 @@ DEFAULT_SOLVER = SolverConfig()
 
 
 def heat_factor(g: Grid):
-    """Banded Cholesky factor of I - dt*L (Dirichlet tridiagonal Laplacian)."""
+    """LDL^T factor of I - dt*L (Dirichlet tridiagonal Laplacian), opaque.
+
+    LAPACK ?pttrf on the diagonal 1 + 2*dt/dx^2 and off-diagonal -dt/dx^2;
+    the matrix is symmetric positive definite for every dt > 0.
+    """
     lam = g.dt / g.dx**2
-    ab = np.zeros((2, g.nx - 1))
-    ab[0, 1:] = -lam
-    ab[1, :] = 1.0 + 2.0 * lam
-    return cholesky_banded(ab, lower=False)
+    d, e, info = lapack.dpttrf(np.full(g.nx - 1, 1.0 + 2.0 * lam), np.full(g.nx - 2, -lam))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"?pttrf failed on I - dt*L (info = {info})")
+    return d, e
 
 
 def heat_solve(factor, rhs):
-    """Solve (I - dt*L) x = rhs for rhs (n,) or (n, B); inf/NaN are not rejected."""
-    return cho_solve_banded((factor, False), rhs, check_finite=False)
+    """Solve (I - dt*L) x = rhs for rhs (n,) or (n, B) into a new array.
+
+    LAPACK ?pttrs runs each column through the same scalar recurrence, so a
+    column's result does not depend on the others; inf/NaN propagate into
+    their own column without raising.
+    """
+    x, info = lapack.dpttrs(*factor, rhs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"?pttrs rejected its arguments (info = {info})")
+    return x
 
 
 def flux_divergence(u_full: np.ndarray, dx: float) -> np.ndarray:

@@ -9,7 +9,9 @@ from burgerslab.grids import (
     SpaceField,
     SpaceTimeField,
     ht_norm,
+    sup_t_l2,
 )
+from burgerslab import ratefn
 from burgerslab.ratefn import (
     RateResult,
     SkeletonContext,
@@ -305,3 +307,38 @@ class TestExactRoute:
         g, ctx = make_ctx(nx=16, nt=32)
         with pytest.raises(ValueError):
             rate_value(SpaceTimeField.zero(g), ctx, tol=tol)
+
+
+class TestResidualNorm:
+    """RateResult.residual is grids.sup_t_l2 of the residual frames, bit for bit."""
+
+    # dx = 1/48 is not a power of two, so a norm that sums before it scales
+    # by dx rounds differently on some of these targets
+    @pytest.mark.parametrize("seed", [8, 9, 10, 11, 12])
+    def test_exact_route(self, seed):
+        g, ctx = make_ctx(nx=48, nt=128)
+        f = apply_forward(smooth_control(g, seed, 0.7), ctx)
+        res = rate_value(f, ctx, tol=1e-6)
+        assert res.method == "exact"
+        frames = f.frames - apply_forward(res.v_star, ctx).frames
+        assert res.residual == sup_t_l2(frames, g)
+
+    def test_cgls_route(self, monkeypatch):
+        # CGLS carries its residual by recurrence: read the frames it measured
+        seen = []
+
+        def recording_sup_t_l2(u, g):
+            seen.append(np.array(u))
+            return sup_t_l2(u, g)
+
+        monkeypatch.setattr(ratefn, "sup_t_l2", recording_sup_t_l2)
+        g, ctx = make_ctx(nx=24, nt=128)
+        f = random_field(g, 77)
+        res = rate_value(f, ctx, tol=1e-6, max_iter=30)
+        assert res.method == "cgls"
+        frames = seen[-1]
+        assert frames.shape == (g.nt + 1, g.nx + 1)
+        assert not frames[0].any() and not frames[:, [0, -1]].any()
+        assert res.residual == sup_t_l2(frames, g)
+        true = f.frames - apply_forward(res.v_star, ctx).frames
+        assert np.abs(frames - true).max() <= 1e-10 * np.abs(f.frames).max()

@@ -1,5 +1,6 @@
 """Tests for the semi-implicit solver family."""
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from burgerslab.solvers import (
     InstabilityError,
     SigmaSpec,
     SolverConfig,
+    heat_factor,
+    heat_solve,
     solve_controlled,
     solve_deterministic,
     solve_skeleton,
@@ -107,6 +110,69 @@ class TestSolverConfig:
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+
+# ------------------------------------------------------------- heat solve
+
+
+def dense_heat(g):
+    """I - dt*L on the interior nodes, written out in full."""
+    lam = g.dt / g.dx**2
+    n = g.nx - 1
+    return (1.0 + 2.0 * lam) * np.eye(n) - lam * (np.eye(n, k=1) + np.eye(n, k=-1))
+
+
+HEAT_GRIDS = [Grid(nx=4, nt=8, T=1.0), Grid(nx=64, nt=256, T=1.0)]
+
+
+class TestHeatSolve:
+    @pytest.mark.parametrize("g", HEAT_GRIDS, ids=["nx4", "default"])
+    @pytest.mark.parametrize("width", [None, 1, 9])
+    def test_residual_against_dense_matrix(self, g, width):
+        rng = np.random.default_rng(11)
+        shape = (g.nx - 1,) if width is None else (g.nx - 1, width)
+        rhs = rng.standard_normal(shape)
+        x = heat_solve(heat_factor(g), rhs)
+        assert x.shape == rhs.shape
+        res = np.abs(dense_heat(g) @ x - rhs).max(axis=0)
+        assert np.all(res <= 1e-13 * np.abs(rhs).max(axis=0))
+
+    @pytest.mark.parametrize("g", HEAT_GRIDS, ids=["nx4", "default"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_batch_bitwise_equals_columns(self, g, order):
+        rng = np.random.default_rng(12)
+        rhs = np.asarray(rng.standard_normal((g.nx - 1, 16)), order=order)
+        factor = heat_factor(g)
+        batch = heat_solve(factor, rhs)
+        for j in range(rhs.shape[1]):
+            assert np.array_equal(batch[:, j], heat_solve(factor, rhs[:, j]))
+        assert np.array_equal(batch[:, 5:6], heat_solve(factor, rhs[:, 5:6]))
+        assert np.array_equal(batch[:, 3:10], heat_solve(factor, rhs[:, 3:10]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_column_isolated(self, bad):
+        g = HEAT_GRIDS[1]
+        rng = np.random.default_rng(13)
+        rhs = rng.standard_normal((g.nx - 1, 5))
+        rhs[7, 2] = bad
+        factor = heat_factor(g)
+        clean = heat_solve(factor, np.delete(rhs, 2, axis=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = heat_solve(factor, rhs)
+        assert not np.all(np.isfinite(x[:, 2]))
+        assert np.array_equal(np.delete(x, 2, axis=1), clean)
+
+    @pytest.mark.parametrize("width, order", [(None, "C"), (1, "C"), (6, "C"), (6, "F")])
+    def test_rhs_not_mutated(self, width, order):
+        g = HEAT_GRIDS[1]
+        rng = np.random.default_rng(14)
+        shape = (g.nx - 1,) if width is None else (g.nx - 1, width)
+        rhs = np.asarray(rng.standard_normal(shape), order=order)
+        before = rhs.copy()
+        x = heat_solve(heat_factor(g), rhs)
+        assert np.array_equal(rhs, before)
+        assert not np.shares_memory(x, rhs)
 
 
 # ---------------------------------------------------- deterministic solver

@@ -42,3 +42,29 @@ def test_lattice_rules_live_in_grids():
         if path.name != "grids.py"
     }
     assert {name: n for name, n in found.items() if n} == {}
+
+
+def _imports_scipy_linalg(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.startswith("scipy.linalg") for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("scipy.linalg"):
+                return True
+            if node.module == "scipy" and any(a.name == "linalg" for a in node.names):
+                return True
+    return False
+
+
+def test_one_heat_factorisation():
+    # the implicit heat step has one factor-and-solve pair: solvers' LDL^T
+    importers, banded = [], []
+    for path in sorted(Path(burgerslab.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        if _imports_scipy_linalg(ast.parse(text, filename=str(path))):
+            importers.append(path.name)
+        if "cho_solve_banded" in text or "cholesky_banded" in text:
+            banded.append(path.name)
+    assert importers == ["solvers.py"]
+    assert banded == []
