@@ -28,6 +28,7 @@ from .kernels import verify_kernel_estimates
 from .noise import SeedSpec, girsanov_log_density, girsanov_shift, sample_sheet
 from .ratefn import SkeletonContext, rate_value
 from .solvers import (
+    HEAT_BACKEND,
     ContractionFailureError,
     InstabilityError,
     SigmaSpec,
@@ -302,7 +303,8 @@ def validate_config(cfg: dict, threads: int, timestamp: bool) -> RunConfig:
 
 
 def _metadata(rc: RunConfig, command: str) -> dict:
-    meta = {"tool": "burgerslab", "version": __version__, "command": command}
+    meta = {"tool": "burgerslab", "version": __version__, "command": command,
+            "heat_solve": HEAT_BACKEND}
     if rc.timestamp:
         meta["generated_at"] = datetime.now(timezone.utc).isoformat()
     return meta

@@ -2,7 +2,10 @@
 
 Every forward time loop runs through one stepping engine, _march:
 implicit Dirichlet Laplacian (symmetric positive definite tridiagonal,
-LDL^T-factored once per grid by LAPACK ?pttrf),
+LDL^T-factored once per grid by LAPACK ?pttrf and solved by ?pttrs, both
+from the ILP64 OpenBLAS that numpy itself links, called through ctypes so
+the GIL is released during each solve; where numpy links no such library
+a numpy row recurrence gives the same bits, see HEAT_BACKEND),
 explicit conservative central flux, per-cell noise dW/(dt*dx), each step
     (I - dt*L) u^{k+1} = u^k + dt*Dx(flux) + forcing_k ,
 so there is no dt <= dx^2/2 constraint.  The state is one path (nx+1,) or
@@ -24,10 +27,10 @@ code with the finite-difference stepping it arbitrates.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .grids import Control, Grid, SpaceField, SpaceTimeField, same_grid, sup_t_l2
 # not called here; perfbench/child.py BOUNDARIES still wraps these two names
@@ -137,30 +140,126 @@ class SolverConfig:
 DEFAULT_SOLVER = SolverConfig()
 
 
+class _LDLt:
+    """I - dt*L = L D L^T as ?pttrf leaves it: diagonal d, subdiagonal e of L.
+
+    refs holds byrefs to N, D and E for ?pttrs; they are built once and the
+    routine only reads through them, so threads may share one factor.
+    """
+
+    __slots__ = ("d", "e", "refs")
+
+    def __init__(self, d: np.ndarray, e: np.ndarray):
+        self.d, self.e = d, e
+        self.refs = (
+            ctypes.byref(ctypes.c_int64(d.size)),
+            ctypes.byref(ctypes.c_double.from_buffer(d)),
+            ctypes.byref(ctypes.c_double.from_buffer(e)),
+        )
+
+
+def _openblas_pt():
+    """?pttrf/?pttrs of the ILP64 OpenBLAS numpy links, or (None, None).
+
+    numpy's own wheels bundle scipy-openblas64 with these names; other builds
+    (conda, distro) link another BLAS, and the recurrence below stands in.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        pttrf, pttrs = lib.scipy_dpttrf_64_, lib.scipy_dpttrs_64_
+    except (AttributeError, OSError):
+        return None, None
+    # no argtypes: converting seven arguments costs ~3 us a call, a tenth of
+    # a 64-column solve.  Every argument is a byref this module builds on a
+    # c_int64 or on a float64 buffer it allocated and sized itself.
+    pttrf.restype = pttrs.restype = None
+    return pttrf, pttrs
+
+
+_DPTTRF, _DPTTRS = _openblas_pt()
+HEAT_BACKEND = "numpy recurrence" if _DPTTRS is None else "lapack ?pttrs"
+
+
+def _lapack_pttrf(d: np.ndarray, e: np.ndarray) -> _LDLt:
+    """LDL^T of the SPD tridiagonal (d, e) in place by ?pttrf; ctypes drops the GIL."""
+    factor = _LDLt(d, e)
+    info = ctypes.c_int64()
+    _DPTTRF(*factor.refs, ctypes.byref(info))
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"?pttrf failed on I - dt*L (info = {info.value})")
+    return factor
+
+
+def _solution_buffer(factor: _LDLt, rhs, order: str) -> np.ndarray:
+    """A new float copy of rhs (n,) or (n, B) in the given memory order."""
+    x = np.array(rhs, dtype=np.float64, order=order)
+    if x.ndim > 2 or x.shape[:1] != factor.d.shape:
+        raise ValueError(f"rhs must be (n,) or (n, B) with n = {factor.d.size}, got {x.shape}")
+    return x
+
+
+def _lapack_pttrs(factor: _LDLt, rhs) -> np.ndarray:
+    """?pttrs into a new (n,) or Fortran-ordered (n, B) array; drops the GIL."""
+    x = _solution_buffer(factor, rhs, "F")
+    if x.size:
+        nref, dref, eref = factor.refs
+        info = ctypes.c_int64()
+        _DPTTRS(nref, ctypes.byref(ctypes.c_int64(x.size // x.shape[0])), dref, eref,
+                ctypes.byref(ctypes.c_double.from_buffer(x.T)), nref, ctypes.byref(info))
+        if info.value != 0:
+            raise np.linalg.LinAlgError(f"?pttrs rejected its arguments (info = {info.value})")
+    return x
+
+
+def _numpy_pttrf(d: np.ndarray, e: np.ndarray) -> _LDLt:
+    """?pttrf's recurrence in numpy, the same operations in the same order."""
+    for i in range(d.size - 1):
+        ei = e[i]
+        e[i] = ei / d[i]
+        d[i + 1] = d[i + 1] - e[i] * ei
+    if not np.all(d > 0):
+        raise np.linalg.LinAlgError("I - dt*L is not positive definite")
+    return _LDLt(d, e)
+
+
+def _numpy_pttrs(factor: _LDLt, rhs) -> np.ndarray:
+    """?pttrs's column recurrence (LAPACK dptts2 order), a row of x at a time."""
+    d, e = factor.d, factor.e
+    x = _solution_buffer(factor, rhs, "C")  # rows contiguous across the columns
+    with np.errstate(all="ignore"):  # inf/NaN stay in their column, silently
+        for i in range(1, d.size):
+            x[i] = x[i] - x[i - 1] * e[i - 1]
+        x[-1] = x[-1] / d[-1]
+        for i in range(d.size - 2, -1, -1):
+            x[i] = x[i] / d[i] - x[i + 1] * e[i]
+    return np.asfortranarray(x)  # the layout the LAPACK route returns
+
+
+_pttrf, _pttrs = (_numpy_pttrf, _numpy_pttrs) if _DPTTRS is None else (_lapack_pttrf, _lapack_pttrs)
+
+
 def heat_factor(g: Grid):
     """LDL^T factor of I - dt*L (Dirichlet tridiagonal Laplacian), opaque.
 
-    LAPACK ?pttrf on the diagonal 1 + 2*dt/dx^2 and off-diagonal -dt/dx^2;
-    the matrix is symmetric positive definite for every dt > 0.
+    ?pttrf on the diagonal 1 + 2*dt/dx^2 and off-diagonal -dt/dx^2; the
+    matrix is symmetric positive definite for every dt > 0.  HEAT_BACKEND
+    names the route: LAPACK from the OpenBLAS numpy links, called through
+    ctypes (which releases the GIL), or where numpy has none, the same
+    recurrence in numpy.
     """
     lam = g.dt / g.dx**2
-    d, e, info = lapack.dpttrf(np.full(g.nx - 1, 1.0 + 2.0 * lam), np.full(g.nx - 2, -lam))
-    if info != 0:
-        raise np.linalg.LinAlgError(f"?pttrf failed on I - dt*L (info = {info})")
-    return d, e
+    return _pttrf(np.full(g.nx - 1, 1.0 + 2.0 * lam), np.full(g.nx - 2, -lam))
 
 
 def heat_solve(factor, rhs):
     """Solve (I - dt*L) x = rhs for rhs (n,) or (n, B) into a new array.
 
-    LAPACK ?pttrs runs each column through the same scalar recurrence, so a
+    ?pttrs runs each column through the same scalar recurrence, so a
     column's result does not depend on the others; inf/NaN propagate into
-    their own column without raising.
+    their own column without raising.  The LAPACK route releases the GIL,
+    so threads solve at the same time; the numpy fallback gives equal bits.
     """
-    x, info = lapack.dpttrs(*factor, rhs)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"?pttrs rejected its arguments (info = {info})")
-    return x
+    return _pttrs(factor, rhs)
 
 
 def flux_divergence(u_full: np.ndarray, dx: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from burgerslab.cli import (
 )
 from burgerslab.grids import Control, Grid, SpaceField, SpaceTimeField, ht_norm
 from burgerslab.ratefn import SkeletonContext, apply_forward
-from burgerslab.solvers import SigmaSpec, heat_solve
+from burgerslab.solvers import HEAT_BACKEND, SigmaSpec, heat_solve
 
 
 def write_config(tmp_path, name, data):
@@ -179,6 +179,19 @@ class TestDeterministic:
         summary = json.loads((out / "summary.json").read_text())
         e = summary["energy"]
         assert all(b <= a for a, b in zip(e, e[1:]))
+
+    def test_metadata_names_heat_solve_backend(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", SMALL_GRID)
+        texts = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            argv = ["deterministic", "--config", cfg, "--out", str(out), "--no-timestamp"]
+            assert main(argv) == EXIT_OK
+            texts.append((out / "summary.json").read_text())
+        assert texts[0] == texts[1]
+        meta = json.loads(texts[0])["metadata"]
+        assert meta["heat_solve"] == HEAT_BACKEND
+        assert HEAT_BACKEND in ("lapack ?pttrs", "numpy recurrence")
 
     def test_instability_exits_3(self, tmp_path):
         cfg = write_config(

@@ -1,4 +1,6 @@
 """Tests for the semi-implicit solver family."""
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -29,6 +31,7 @@ from burgerslab.solvers import (
     solve_skeleton_fixed_point,
     solve_spde,
 )
+from burgerslab import solvers
 from burgerslab.solvers import _sine_basis
 from burgerslab.deviations import ScalingSchedule, deviation_field
 
@@ -173,6 +176,69 @@ class TestHeatSolve:
         x = heat_solve(heat_factor(g), rhs)
         assert np.array_equal(rhs, before)
         assert not np.shares_memory(x, rhs)
+
+    @pytest.mark.skipif(solvers._DPTTRS is None, reason="numpy links no ILP64 OpenBLAS ?pttrs")
+    @pytest.mark.parametrize("g", HEAT_GRIDS, ids=["nx4", "default"])
+    def test_lapack_and_numpy_routes_equal_bits(self, g):
+        # the fallback is the same recurrence in the same order, so every bit agrees
+        lam = g.dt / g.dx**2
+        diag, off = np.full(g.nx - 1, 1.0 + 2.0 * lam), np.full(g.nx - 2, -lam)
+        lapack = solvers._lapack_pttrf(diag.copy(), off.copy())
+        recurrence = solvers._numpy_pttrf(diag.copy(), off.copy())
+        assert lapack.d.tobytes() == recurrence.d.tobytes()
+        assert lapack.e.tobytes() == recurrence.e.tobytes()
+        rng = np.random.default_rng(15)
+        blocks = [rng.standard_normal(g.nx - 1)]
+        blocks += [rng.standard_normal((g.nx - 1, width)) for width in (1, 64, 256)]
+        bad = rng.standard_normal((g.nx - 1, 6))
+        bad[1, 1], bad[-1, 3], bad[0, 4] = np.inf, -np.inf, np.nan
+        blocks.append(bad)
+        for rhs in blocks:
+            x = solvers._lapack_pttrs(lapack, rhs)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the fallback sets its own np.errstate
+                y = solvers._numpy_pttrs(recurrence, rhs)
+            assert x.shape == y.shape == rhs.shape
+            assert x.flags.f_contiguous and y.flags.f_contiguous
+            assert x.tobytes(order="A") == y.tobytes(order="A")
+
+    def test_threads_solve_at_once_bitwise(self):
+        # more threads than cores share one factor, each with its own width;
+        # every result equals that right-hand side's serial solve
+        g = HEAT_GRIDS[1]
+        factor = heat_factor(g)
+        rng = np.random.default_rng(16)
+        work = [rng.standard_normal((g.nx - 1, w)) for w in (256, 64, 17)]
+        work.append(rng.standard_normal(g.nx - 1))
+        serial = [heat_solve(factor, rhs) for rhs in work]
+        start = threading.Barrier(len(work))
+        results = [[] for _ in work]
+
+        def run(i):
+            start.wait()
+            for _ in range(200):
+                results[i].append(heat_solve(factor, work[i]))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(work))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for expected, got in zip(serial, results):
+            assert len(got) == 200
+            assert all(np.array_equal(x, expected) for x in got)
+
+    @pytest.mark.parametrize("shape", [(5,), (62,), (62, 3), (63, 2, 2), ()])
+    def test_wrong_rhs_shape_rejected(self, shape):
+        factor = heat_factor(HEAT_GRIDS[1])
+        with pytest.raises(ValueError, match="n = 63"):
+            heat_solve(factor, np.ones(shape))
 
 
 # ---------------------------------------------------- deterministic solver

@@ -1,5 +1,8 @@
 """Checks on the package source itself."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import burgerslab
@@ -44,27 +47,34 @@ def test_lattice_rules_live_in_grids():
     assert {name: n for name, n in found.items() if n} == {}
 
 
-def _imports_scipy_linalg(tree: ast.AST) -> bool:
+def _imports_scipy(tree: ast.AST) -> bool:
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            if any(a.name.startswith("scipy.linalg") for a in node.names):
+            if any(a.name.split(".")[0] == "scipy" for a in node.names):
                 return True
         elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module.startswith("scipy.linalg"):
-                return True
-            if node.module == "scipy" and any(a.name == "linalg" for a in node.names):
+            if node.module.split(".")[0] == "scipy":
                 return True
     return False
 
 
 def test_one_heat_factorisation():
-    # the implicit heat step has one factor-and-solve pair: solvers' LDL^T
+    # the implicit heat step has one factor-and-solve pair, solvers' LDL^T,
+    # and no module imports scipy: LAPACK comes from numpy's own library
     importers, banded = [], []
     for path in sorted(Path(burgerslab.__file__).parent.glob("*.py")):
         text = path.read_text()
-        if _imports_scipy_linalg(ast.parse(text, filename=str(path))):
+        if _imports_scipy(ast.parse(text, filename=str(path))):
             importers.append(path.name)
         if "cho_solve_banded" in text or "cholesky_banded" in text:
             banded.append(path.name)
-    assert importers == ["solvers.py"]
+    assert importers == []
     assert banded == []
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(burgerslab.__file__).parent.parent)
+    code = "import sys, burgerslab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
