@@ -296,8 +296,8 @@ def _run_paths_chunk(
     sup_t of the solution's L2 norm, sup_t of ||u - u_det||_2 (unscaled),
     and the sup-norm guard.  The arithmetic per path matches solve_spde
     bit for bit: every other operation is elementwise or per row, and
-    heat_solve (LAPACK ?pttrs from numpy's OpenBLAS, or its numpy row
-    recurrence where that is absent) runs each right-hand-side column
+    heat_solve (LAPACK ?pttrs from numpy's OpenBLAS, or the same recurrence
+    in Python where that is absent) runs each right-hand-side column
     through the same scalar recurrence, never mixing columns or blocking by
     batch width; the LAPACK call releases the GIL, so pool workers' solves
     overlap.

@@ -67,7 +67,7 @@ class SkeletonContext:
     grid: Grid
     sigma: SigmaSpec
     u_det: SpaceTimeField
-    _factor: tuple
+    _factor: object  # heat_factor's opaque LDL^T
     _transport: np.ndarray  # (nt, nx+1): 2 * u_det frame, full grid
     _forcing: np.ndarray  # (nt, nx-1): sigma(u_det) on interior nodes
 

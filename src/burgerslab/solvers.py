@@ -5,7 +5,8 @@ implicit Dirichlet Laplacian (symmetric positive definite tridiagonal,
 LDL^T-factored once per grid by LAPACK ?pttrf and solved by ?pttrs, both
 from the ILP64 OpenBLAS that numpy itself links, called through ctypes so
 the GIL is released during each solve; where numpy links no such library
-a numpy row recurrence gives the same bits, see HEAT_BACKEND),
+the same recurrence in Python floats or numpy rows gives the same bits,
+see HEAT_BACKEND),
 explicit conservative central flux, per-cell noise dW/(dt*dx), each step
     (I - dt*L) u^{k+1} = u^k + dt*Dx(flux) + forcing_k ,
 so there is no dt <= dx^2/2 constraint.  The state is one path (nx+1,) or
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -158,26 +160,49 @@ class _LDLt:
         )
 
 
-def _openblas_pt():
-    """?pttrf/?pttrs of the ILP64 OpenBLAS numpy links, or (None, None).
+def _pt_symbols(path: str):
+    """?pttrf/?pttrs with the ILP64 OpenBLAS names, reached through `path`, or None.
 
-    numpy's own wheels bundle scipy-openblas64 with these names; other builds
-    (conda, distro) link another BLAS, and the recurrence below stands in.
+    scipy-openblas64, which numpy's wheels bundle since numpy 2, prefixes
+    scipy_; the openblas64_ of numpy 1.x wheels does not.  In both the 64_
+    suffix marks the 64-bit-integer interface.
     """
     try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        pttrf, pttrs = lib.scipy_dpttrf_64_, lib.scipy_dpttrs_64_
-    except (AttributeError, OSError):
-        return None, None
-    # no argtypes: converting seven arguments costs ~3 us a call, a tenth of
-    # a 64-column solve.  Every argument is a byref this module builds on a
-    # c_int64 or on a float64 buffer it allocated and sized itself.
-    pttrf.restype = pttrs.restype = None
-    return pttrf, pttrs
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for name in ("scipy_dpttr%s_64_", "dpttr%s_64_"):
+        try:
+            pttrf, pttrs = getattr(lib, name % "f"), getattr(lib, name % "s")
+        except AttributeError:
+            continue
+        # no argtypes: converting seven arguments costs ~3 us a call, a tenth
+        # of a 64-column solve.  Every argument is a byref this module builds
+        # on a c_int64 or on a float64 buffer it allocated and sized itself.
+        pttrf.restype = pttrs.restype = None
+        return pttrf, pttrs
+    return None
+
+
+def _openblas_pt():
+    """?pttrf/?pttrs of the ILP64 OpenBLAS numpy's wheels bundle, or (None, None).
+
+    On Linux and macOS the linear-algebra extension's handle reaches the
+    library it links; on Windows it does not, and the wheel's DLL is opened
+    by its path.  numpy builds linking another BLAS or LAPACK (Accelerate,
+    MKL, a distro's or conda's LP64 OpenBLAS) take the recurrence below.
+    """
+    here = Path(np.__file__).parent
+    bundled = [*here.parent.glob("numpy.libs/*openblas*"), *here.glob(".libs/*openblas*")]
+    for path in [np.linalg._umath_linalg.__file__, *sorted(map(str, bundled))]:
+        found = _pt_symbols(path)
+        if found is not None:
+            return found
+    return None, None
 
 
 _DPTTRF, _DPTTRS = _openblas_pt()
-HEAT_BACKEND = "numpy recurrence" if _DPTTRS is None else "lapack ?pttrs"
+HEAT_BACKEND = "python recurrence" if _DPTTRS is None else "lapack ?pttrs"
 
 
 def _lapack_pttrf(d: np.ndarray, e: np.ndarray) -> _LDLt:
@@ -222,16 +247,40 @@ def _numpy_pttrf(d: np.ndarray, e: np.ndarray) -> _LDLt:
     return _LDLt(d, e)
 
 
+# below this many columns, Python floats a column at a time (~12 us for 63
+# unknowns) beat numpy a row at a time (~250 ufunc calls, 0.15-0.3 ms)
+_ROW_SWEEP_MIN = 12
+
+
 def _numpy_pttrs(factor: _LDLt, rhs) -> np.ndarray:
-    """?pttrs's column recurrence (LAPACK dptts2 order), a row of x at a time."""
-    d, e = factor.d, factor.e
+    """?pttrs's column recurrence (LAPACK dptts2 order) in Python floats or numpy rows.
+
+    Both round each operation as LAPACK does, so both give its bits; Python
+    float arithmetic, like np.errstate(all="ignore"), passes inf/NaN silently.
+    """
+    n = factor.d.size
     x = _solution_buffer(factor, rhs, "C")  # rows contiguous across the columns
+    if x.size < _ROW_SWEEP_MIN * n:
+        d, e = factor.d.tolist(), factor.e.tolist()
+        cols = x.ravel(order="F").tolist()  # the columns back to back
+        out = []
+        for j in range(0, len(cols), n):
+            b = cols[j:j + n]
+            for i in range(1, n):
+                b[i] = b[i] - b[i - 1] * e[i - 1]
+            b[-1] = b[-1] / d[-1]
+            for i in range(n - 2, -1, -1):
+                b[i] = b[i] / d[i] - b[i + 1] * e[i]
+            out += b
+        return np.reshape(np.array(out, dtype=np.float64), x.shape, order="F")
+    e = factor.e.tolist()
+    rows, tmp = list(x), np.empty(x.shape[1])
     with np.errstate(all="ignore"):  # inf/NaN stay in their column, silently
-        for i in range(1, d.size):
-            x[i] = x[i] - x[i - 1] * e[i - 1]
-        x[-1] = x[-1] / d[-1]
-        for i in range(d.size - 2, -1, -1):
-            x[i] = x[i] / d[i] - x[i + 1] * e[i]
+        for i in range(1, n):
+            np.subtract(rows[i], np.multiply(rows[i - 1], e[i - 1], out=tmp), out=rows[i])
+        np.divide(x, factor.d[:, None], out=x)  # each row's x[i] / d[i], all at once
+        for i in range(n - 2, -1, -1):
+            np.subtract(rows[i], np.multiply(rows[i + 1], e[i], out=tmp), out=rows[i])
     return np.asfortranarray(x)  # the layout the LAPACK route returns
 
 
@@ -245,7 +294,7 @@ def heat_factor(g: Grid):
     matrix is symmetric positive definite for every dt > 0.  HEAT_BACKEND
     names the route: LAPACK from the OpenBLAS numpy links, called through
     ctypes (which releases the GIL), or where numpy has none, the same
-    recurrence in numpy.
+    recurrence in Python.
     """
     lam = g.dt / g.dx**2
     return _pttrf(np.full(g.nx - 1, 1.0 + 2.0 * lam), np.full(g.nx - 2, -lam))
@@ -257,7 +306,7 @@ def heat_solve(factor, rhs):
     ?pttrs runs each column through the same scalar recurrence, so a
     column's result does not depend on the others; inf/NaN propagate into
     their own column without raising.  The LAPACK route releases the GIL,
-    so threads solve at the same time; the numpy fallback gives equal bits.
+    so threads solve at the same time; the Python fallback gives equal bits.
     """
     return _pttrs(factor, rhs)
 

@@ -191,7 +191,7 @@ class TestDeterministic:
         assert texts[0] == texts[1]
         meta = json.loads(texts[0])["metadata"]
         assert meta["heat_solve"] == HEAT_BACKEND
-        assert HEAT_BACKEND in ("lapack ?pttrs", "numpy recurrence")
+        assert HEAT_BACKEND in ("lapack ?pttrs", "python recurrence")
 
     def test_instability_exits_3(self, tmp_path):
         cfg = write_config(

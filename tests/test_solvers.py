@@ -1,8 +1,11 @@
 """Tests for the semi-implicit solver family."""
+import _ctypes
+import ctypes
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,11 +191,15 @@ class TestHeatSolve:
         assert lapack.d.tobytes() == recurrence.d.tobytes()
         assert lapack.e.tobytes() == recurrence.e.tobytes()
         rng = np.random.default_rng(15)
+        # the fallback runs narrow blocks on Python floats, wide ones on numpy rows
+        narrow = solvers._ROW_SWEEP_MIN
         blocks = [rng.standard_normal(g.nx - 1)]
-        blocks += [rng.standard_normal((g.nx - 1, width)) for width in (1, 64, 256)]
-        bad = rng.standard_normal((g.nx - 1, 6))
-        bad[1, 1], bad[-1, 3], bad[0, 4] = np.inf, -np.inf, np.nan
-        blocks.append(bad)
+        blocks += [rng.standard_normal((g.nx - 1, width)) for width in (1, narrow - 1, narrow, 64, 256)]
+        for width in (6, narrow + 4):
+            bad = rng.standard_normal((g.nx - 1, width))
+            bad[1, 1], bad[-1, 3], bad[0, 4] = np.inf, -np.inf, np.nan
+            bad[:, 5] = 1.7e308 * np.sign(bad[:, 5])  # overflows to inf midway
+            blocks.append(bad)
         for rhs in blocks:
             x = solvers._lapack_pttrs(lapack, rhs)
             with warnings.catch_warnings():
@@ -233,6 +240,27 @@ class TestHeatSolve:
         for expected, got in zip(serial, results):
             assert len(got) == 200
             assert all(np.array_equal(x, expected) for x in got)
+
+    def test_bundled_openblas_reached_by_path(self):
+        # the Windows route: numpy's bundled library opened by its own path
+        # yields the very routines found through the extension's handle
+        here = Path(np.__file__).parent
+        bundled = [*here.parent.glob("numpy.libs/*openblas*"), *here.glob(".libs/*openblas*")]
+        if solvers._DPTTRS is None or not bundled:
+            pytest.skip("numpy bundles no ILP64 OpenBLAS here")
+
+        def addr(f):
+            return ctypes.cast(f, ctypes.c_void_p).value
+
+        found = [solvers._pt_symbols(str(path)) for path in bundled]
+        assert any(f is not None and (addr(f[0]), addr(f[1])) == (addr(solvers._DPTTRF), addr(solvers._DPTTRS))
+                   for f in found)
+
+    def test_library_without_pt_routines_not_taken(self, tmp_path):
+        assert solvers._pt_symbols(str(tmp_path / "missing.so")) is None
+        assert solvers._pt_symbols(solvers.__file__) is None  # not a library
+        if getattr(_ctypes, "__file__", None):  # a library with no LAPACK behind it
+            assert solvers._pt_symbols(_ctypes.__file__) is None
 
     @pytest.mark.parametrize("shape", [(5,), (62,), (62, 3), (63, 2, 2), ()])
     def test_wrong_rhs_shape_rejected(self, shape):
