@@ -3,7 +3,7 @@
 Semi-implicit solvers for the viscous Burgers equation driven by small
 multiplicative space-time white noise under Dirichlet walls, the Dirichlet
 heat kernel and its estimate checklist, deviation scalings and Monte Carlo
-tail statistics, the controlled/skeleton equations, and the quadratic
+deviation statistics, the controlled/skeleton equations, and the quadratic
 energy (rate) functional of the noise-to-solution map.
 """
 
@@ -12,11 +12,8 @@ from .deviations import (
     EpsRecord,
     McConfig,
     ScalingSchedule,
-    TailReport,
-    check_scaling,
     deviation_field,
     mc_run,
-    tail_check,
     wilson_interval,
 )
 from .grids import (
@@ -44,8 +41,6 @@ from .noise import (
     girsanov_log_density,
     girsanov_shift,
     sample_sheet,
-    sheet_from_csv,
-    sheet_to_csv,
 )
 from .ratefn import (
     RateResult,
@@ -91,10 +86,8 @@ __all__ = [
     "SolverConfig",
     "SpaceField",
     "SpaceTimeField",
-    "TailReport",
     "apply_adjoint",
     "apply_forward",
-    "check_scaling",
     "deviation_field",
     "eval_G",
     "eval_dG_dy",
@@ -106,15 +99,12 @@ __all__ = [
     "mc_run",
     "rate_value",
     "sample_sheet",
-    "sheet_from_csv",
-    "sheet_to_csv",
     "solve_controlled",
     "solve_deterministic",
     "solve_skeleton",
     "solve_skeleton_fixed_point",
     "solve_spde",
     "sup_t_l2",
-    "tail_check",
     "verify_kernel_estimates",
     "wilson_interval",
     "__version__",

@@ -324,7 +324,7 @@ def _field_to_csv(frames: np.ndarray, g: Grid, path: str, label: str) -> None:
 def read_field_csv(path: str) -> tuple:
     """Read a field or control CSV back as (values, Grid)."""
     try:
-        return read_lattice_csv(path)[1:]
+        return read_lattice_csv(path)
     except (ValueError, IndexError, OSError) as exc:
         raise ConfigError(f"cannot read field file {path}: {exc}") from exc
 
@@ -396,7 +396,7 @@ def cmd_kernel_check(rc: RunConfig) -> int:
     v = _unit_profile_control(g)
     u_det = solve_deterministic(rc.u0, g, rc.solver)
     fp = solve_skeleton_fixed_point(rc.u0, g, v, rc.sigma, u_det, rc.solver)
-    pde = solve_skeleton(rc.u0, g, v, rc.sigma, u_det, rc.solver)
+    pde = solve_skeleton(rc.u0, g, v, rc.sigma, u_det)
     gap = sup_t_l2(fp.field.frames - pde.frames, g)
     budget = max(5.0 * g.dx**2, 10.0 * rc.solver.fp_tol)
     mild = {

@@ -13,7 +13,6 @@ block driven by the sheet plus that eps's Girsanov shift.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,12 +39,9 @@ __all__ = [
     "McConfig",
     "EpsRecord",
     "DeviationStats",
-    "TailReport",
     "wilson_interval",
     "deviation_field",
-    "check_scaling",
     "mc_run",
-    "tail_check",
 ]
 
 # Chunking is part of the reproducibility contract: results are identical
@@ -100,16 +96,6 @@ class ScalingSchedule:
 
     def h(self, eps: float) -> float:
         return self.a(eps) / math.sqrt(eps)
-
-
-def check_scaling(sched: ScalingSchedule) -> bool:
-    """True iff a(eps) -> 0 and h(eps) -> infinity as eps -> 0.
-
-    Decided symbolically: a = eps**theta vanishes iff theta > 0 and
-    h = eps**(theta - 1/2) diverges iff theta < 1/2, so exactly the
-    moderate family qualifies (clt has h == 1, ldp has a == 1).
-    """
-    return sched.kind == "moderate"
 
 
 def deviation_field(
@@ -220,11 +206,6 @@ class DeviationStats:
             "schedule": {"kind": self.schedule.kind, "theta": self.schedule.theta},
             "records": [r.to_json_dict() for r in self.records],
         }
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
 
     def to_csv(self, path: str) -> None:
         orders = [q for q, _ in self.records[0].moments_u] if self.records else []
@@ -464,122 +445,3 @@ def mc_run(
             )
         )
     return DeviationStats(records=tuple(records), threshold=mc.threshold, schedule=sched)
-
-
-# ------------------------------------------------------------- tail probe
-
-
-@dataclass(frozen=True)
-class TailReport:
-    """Gaussian-tail diagnostic for the stochastic convolution."""
-
-    thresholds: tuple
-    p_hat: tuple
-    slope: float  # fitted d log p / d M^2 (negative for Gaussian-type tails)
-    intercept: float
-    r_squared: float
-    n_paths: int
-    failed_fraction: float
-    all_zero: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "thresholds": list(self.thresholds),
-            "p_hat": list(self.p_hat),
-            "slope": _num(self.slope),
-            "intercept": _num(self.intercept),
-            "r_squared": _num(self.r_squared),
-            "n_paths": self.n_paths,
-            "failed_fraction": self.failed_fraction,
-            "all_zero": self.all_zero,
-        }
-
-
-def _convolution_sups_chunk(
-    u0_vals: np.ndarray,
-    g: Grid,
-    sigma: SigmaSpec,
-    dWs: np.ndarray,
-    factor,
-) -> tuple:
-    """Per-path sup over the lattice of |stochastic convolution|.
-
-    The convolution eta follows eta^{k+1} = M^{-1}(eta^k + sigma(u^k) dW/dx)
-    alongside the eps = 1 solution path u feeding the coefficient.  Both
-    ride in one batch: rows 0..B-1 carry u, rows B..2B-1 carry eta.
-    """
-    B = dWs.shape[0]
-    state = np.zeros((2 * B, g.nx + 1))
-    state[:B] = u0_vals
-
-    def rhs(k, S):
-        U = S[:B]
-        noise = sigma(U[:, 1:-1]) * dWs[:, k, :] / g.dx
-        u_rhs = U[:, 1:-1] + g.dt * flux_divergence(U, g.dx) + noise
-        return np.concatenate([u_rhs, S[B:, 1:-1] + noise])
-
-    peak = np.zeros(B)
-    sups = np.zeros(B)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _, S in _march(factor, state, g.nt, rhs, heat_solve):
-            np.maximum(peak, np.abs(S[:B]).max(axis=1), out=peak)
-            np.maximum(sups, np.abs(S[B:]).max(axis=1), out=sups)
-    return sups, (peak <= SUP_GUARD) & np.isfinite(sups)
-
-
-def tail_check(
-    u0: SpaceField,
-    g: Grid,
-    sigma: SigmaSpec,
-    mc: McConfig,
-    cfg: SolverConfig = DEFAULT_SOLVER,
-) -> TailReport:
-    """Estimate P(sup |convolution| >= M) on a quantile ladder and fit vs M^2.
-
-    A linear fit of log p_hat against M^2 with negative slope is the
-    Gaussian-tail signature; the fitted slope scales like 1/||sigma||_inf^2,
-    so doubling a constant sigma divides the decay rate by about four.
-    """
-    same_grid(g, u0=u0)
-    factor = heat_factor(g)
-
-    def chunk_sups(indices):
-        dWs = _gather_sheets(g, mc.master_seed, indices)
-        return _convolution_sups_chunk(u0.values, g, sigma, dWs, factor)
-
-    parts = _map_chunks(chunk_sups, mc.n_paths, mc.threads)
-    sups, alive = (np.concatenate(p) for p in zip(*parts))
-    failed_fraction = 1.0 - float(alive.sum()) / mc.n_paths
-    sups = sups[alive]
-    n = sups.size
-    all_zero = bool(n == 0 or np.max(sups) == 0.0)
-    thresholds = []
-    p_hat = []
-    if not all_zero:
-        target_probs = [0.4, 0.25, 0.15, 0.08, 0.04, 0.02, max(0.01, 20.0 / n)]
-        target_probs = sorted({p for p in target_probs if 0 < p < 1}, reverse=True)
-        for m in np.quantile(sups, [1.0 - p for p in target_probs]):
-            if thresholds and m <= thresholds[-1]:
-                continue
-            p = float(np.mean(sups >= m))
-            if 0.0 < p < 1.0:
-                thresholds.append(float(m))
-                p_hat.append(p)
-    slope = intercept = r2 = math.nan
-    if len(thresholds) >= 3:
-        x = np.asarray(thresholds) ** 2
-        y = np.log(np.asarray(p_hat))
-        slope, intercept = (float(c) for c in np.polyfit(x, y, 1))
-        resid = y - (slope * x + intercept)
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else math.nan
-    return TailReport(
-        thresholds=tuple(thresholds),
-        p_hat=tuple(p_hat),
-        slope=slope,
-        intercept=intercept,
-        r_squared=r2,
-        n_paths=mc.n_paths,
-        failed_fraction=failed_fraction,
-        all_zero=all_zero,
-    )

@@ -9,10 +9,10 @@ left rectangles in time: the deviation event's per-frame trapezoid L2 norm
 (`frame_norms`, `sup_t_l2`) and the rate function's H_T inner product on
 interior weights (`ht_dot`, `ht_norm`).
 
-CSV files share one layout: a header row (corner label, x nodes), then one
-row per time (t node, values).  Node data (nt+1, nx+1), e.g. a field, lists
-every node; cell data (nt, nx-1), e.g. a control or a noise sheet, lists the
-interior x nodes and the left end of each step, then a row of only repr(T).
+CSV files share one layout: a header row ('t', x nodes), then one row per
+time (t node, values).  Node data (nt+1, nx+1), a field, lists every node;
+cell data (nt, nx-1), a control, lists the interior x nodes and the left
+end of each step, then a row of only repr(T).
 """
 from __future__ import annotations
 
@@ -170,27 +170,12 @@ class SpaceTimeField:
 
     # -- serialization ---------------------------------------------------
 
-    def to_csv(self, path) -> None:
-        """Node data in the lattice layout, 't' in the header corner."""
-        write_lattice_csv(path, self.frames, self.grid)
-
-    @staticmethod
-    def from_csv(path) -> "SpaceTimeField":
-        corner, frames, grid = read_lattice_csv(path)
-        if corner != "t":
-            raise ValueError(f"{path}: not a field CSV (expected 't' header corner)")
-        return SpaceTimeField(frames, grid)
-
     def to_json_dict(self) -> dict:
+        """The JSON field layout the CLI writes; from_json reads it back."""
         return {
             "grid": {"nx": self.grid.nx, "nt": self.grid.nt, "T": self.grid.T},
             "frames": self.frames.tolist(),
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True)
-            fh.write("\n")
 
     @staticmethod
     def from_json(path) -> "SpaceTimeField":
@@ -223,7 +208,7 @@ class Control:
         return Control(np.asarray(fn(ts, xs), dtype=float), grid)
 
 
-def write_lattice_csv(path, values, g: Grid, corner: str = "t") -> None:
+def write_lattice_csv(path, values, g: Grid) -> None:
     """Write node data (nt+1, nx+1) or cell data (nt, nx-1) on g to CSV."""
     cell = np.shape(values) == (g.nt, g.nx - 1)
     if not cell and np.shape(values) != (g.nt + 1, g.nx + 1):
@@ -231,33 +216,36 @@ def write_lattice_csv(path, values, g: Grid, corner: str = "t") -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         xs = g.x_interior() if cell else g.x_nodes()
-        writer.writerow([corner] + [repr(float(x)) for x in xs])
+        writer.writerow(["t"] + [repr(float(x)) for x in xs])
         for t, row in zip(g.t_nodes(), values):
             writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
         if cell:
             writer.writerow([repr(g.T)])
 
 
-def read_lattice_csv(path) -> tuple[str, np.ndarray, Grid]:
-    """Inverse of write_lattice_csv: (corner, values, grid); ValueError if malformed."""
+def read_lattice_csv(path) -> tuple[np.ndarray, Grid]:
+    """Inverse of write_lattice_csv: (values, grid); ValueError if malformed."""
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            # rows become floats as read, never all held as strings; bits as float()
+            rows = [np.array(r, dtype=float) for r in reader]
     except csv.Error as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    cell = len(rows) > 1 and len(rows[-1]) == 1
-    body = rows[1:-1] if cell else rows[1:]
-    if not body or len(rows[0]) < 2 or any(len(r) != len(rows[0]) for r in body):
+    cell = len(rows) > 0 and rows[-1].size == 1
+    body = rows[:-1] if cell else rows
+    if not body or len(header) < 2 or any(r.size != len(header) for r in body):
         raise ValueError(f"{path}: not a lattice CSV (missing or ragged rows)")
-    xs = np.array([float(v) for v in rows[0][1:]])
-    ts = np.array([float(r[0]) for r in rows[1:]])
+    xs = np.array(header[1:], dtype=float)
+    ts = np.array([r[0] for r in rows])
     grid = Grid(nx=len(xs) + (1 if cell else -1), nt=len(ts) - 1, T=float(ts[-1]))
     x_ref = grid.x_interior() if cell else grid.x_nodes()
     if not np.allclose(xs, x_ref, rtol=0, atol=1e-12):
         raise ValueError(f"{path}: x header is not the uniform unit lattice")
     if not np.allclose(ts, grid.t_nodes(), rtol=0, atol=1e-12 * max(1.0, grid.T)):
         raise ValueError(f"{path}: t column is not a uniform time lattice")
-    return rows[0][0], np.array([[float(v) for v in r[1:]] for r in body]), grid
+    return np.array([r[1:] for r in body]), grid
 
 
 def _lattice_array(x, shape: tuple) -> np.ndarray:

@@ -3,7 +3,8 @@
 A noise sheet holds the nt x (nx-1) matrix of independent N(0, dt*dx)
 increments driving one solver path.  Streams are pure functions of
 (master_seed, path_index), so Monte Carlo runs are reproducible no matter
-how paths are scheduled across workers.
+how paths are scheduled across workers, and a sheet is never written to a
+file: its SeedSpec reproduces it.
 
 The Girsanov helpers implement the measure change of the controlled
 dynamics: shifting the sheet by h*v*dt*dx and the log-density
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Control, Grid, _freeze, read_lattice_csv, same_grid, write_lattice_csv
+from .grids import Control, Grid, _freeze, same_grid
 
 __all__ = [
     "SeedSpec",
@@ -23,8 +24,6 @@ __all__ = [
     "sample_sheet",
     "girsanov_shift",
     "girsanov_log_density",
-    "sheet_to_csv",
-    "sheet_from_csv",
 ]
 
 _UINT64_MASK = (1 << 64) - 1
@@ -102,15 +101,3 @@ def girsanov_log_density(w: NoiseSheet, v: Control, h: float) -> float:
     """log dQ/dP for the shift by h*v: -h*sum(v dW) - (h^2/2)*dt*dx*sum(v^2)."""
     same_grid(w.grid, control=v)
     return float(_log_density(w.dW, v.values, h, w.grid))
-
-
-def sheet_to_csv(w: NoiseSheet, path) -> None:
-    """Debug dump for regression pinning: cell data, 'seed=<key>' in the corner."""
-    write_lattice_csv(path, w.dW, w.grid, corner=f"seed={w.seed}")
-
-
-def sheet_from_csv(path) -> NoiseSheet:
-    corner, dW, g = read_lattice_csv(path)
-    if not corner.startswith("seed="):
-        raise ValueError(f"{path}: not a sheet CSV (expected 'seed=' header corner)")
-    return NoiseSheet(dW=dW, seed=int(corner[len("seed="):]), grid=g)

@@ -47,6 +47,7 @@ from .solvers import (
     DEFAULT_SOLVER,
     SigmaSpec,
     SolverConfig,
+    _central_difference,
     _skeleton_frames,
     heat_factor,
     heat_solve,
@@ -121,7 +122,7 @@ def _adjoint_values(ctx: SkeletonContext, field_int: np.ndarray) -> np.ndarray:
         out[k] = g.dt * ctx._forcing[k] * psi
         full = np.zeros(g.nx + 1)
         full[1:-1] = psi
-        dpsi = (full[2:] - full[:-2]) / (2.0 * g.dx)
+        dpsi = _central_difference(full, g.dx)
         phi = psi - g.dt * ctx._transport[k][1:-1] * dpsi
     return out * (g.dx / g.interior_weights())
 
@@ -189,8 +190,7 @@ def _exact_preimage(ctx: SkeletonContext, target: np.ndarray) -> np.ndarray:
     frames = np.pad(target, ((1, 0), (1, 1)))
     new, old = frames[1:], frames[:-1]
     heat = new[:, 1:-1] - g.dt / g.dx**2 * (new[:, :-2] - 2.0 * new[:, 1:-1] + new[:, 2:])
-    flux = ctx._transport * old
-    div = (flux[:, 2:] - flux[:, :-2]) / (2.0 * g.dx)
+    div = _central_difference(ctx._transport * old, g.dx)
     step = heat - old[:, 1:-1] - g.dt * div
     with np.errstate(over="ignore"):
         return np.divide(

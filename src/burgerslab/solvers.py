@@ -311,10 +311,14 @@ def heat_solve(factor, rhs):
     return _pttrs(factor, rhs)
 
 
+def _central_difference(q: np.ndarray, dx: float) -> np.ndarray:
+    """Central difference of full-lattice data (..., nx+1) at the interior nodes."""
+    return (q[..., 2:] - q[..., :-2]) / (2.0 * dx)
+
+
 def flux_divergence(u_full: np.ndarray, dx: float) -> np.ndarray:
     """Central conservative divergence of the Burgers flux u^2/2 at interior nodes."""
-    flux = 0.5 * u_full**2
-    return (flux[..., 2:] - flux[..., :-2]) / (2.0 * dx)
+    return _central_difference(0.5 * u_full**2, dx)
 
 
 def _march(factor, state: np.ndarray, nt: int, rhs, solve=heat_solve):
@@ -420,8 +424,7 @@ def solve_controlled(
     udet = solve_deterministic(u0, g, cfg).frames
 
     def rhs(k, ubar):
-        transport = udet[k] * ubar + 0.5 * a_val * ubar**2
-        div = (transport[2:] - transport[:-2]) / (2.0 * g.dx)
+        div = _central_difference(udet[k] * ubar + 0.5 * a_val * ubar**2, g.dx)
         sig = sigma(udet[k][1:-1] + a_val * ubar[1:-1])
         noise = sig * w.dW[k] / (h_val * g.dx)
         return ubar[1:-1] + g.dt * div + noise + g.dt * sig * v.values[k]
@@ -444,8 +447,7 @@ def _skeleton_frames(g: Grid, factor, transport, forcing, v_values, solve=heat_s
     """
 
     def rhs(k, ubar):
-        flux = transport[k] * ubar
-        div = (flux[2:] - flux[:-2]) / (2.0 * g.dx)
+        div = _central_difference(transport[k] * ubar, g.dx)
         return ubar[1:-1] + g.dt * (div + forcing[k] * v_values[k])
 
     return _frames(np.zeros(g.nx + 1), g, rhs, factor, solve)
@@ -457,7 +459,6 @@ def solve_skeleton(
     v: Control,
     sigma: SigmaSpec,
     u_det: SpaceTimeField,
-    cfg: SolverConfig = DEFAULT_SOLVER,
 ) -> SpaceTimeField:
     """Zero-noise skeleton: linear transport around u_det forced by v.
 

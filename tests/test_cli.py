@@ -18,6 +18,7 @@ from burgerslab.cli import (
     read_field_csv,
 )
 from burgerslab.grids import Control, Grid, SpaceField, SpaceTimeField, ht_norm
+from burgerslab.grids import write_lattice_csv
 from burgerslab.ratefn import SkeletonContext, apply_forward
 from burgerslab.solvers import HEAT_BACKEND, SigmaSpec, heat_solve
 
@@ -104,7 +105,7 @@ class TestConfig:
         argv = [command, "--config", cfg, "--out", str(tmp_path / "run"), "--no-timestamp"]
         if command == "rate":
             target = tmp_path / "zero.csv"
-            SpaceTimeField.zero(g).to_csv(target)
+            write_lattice_csv(target, SpaceTimeField.zero(g).frames, g)
             argv += ["--target", str(target)]
         monkeypatch.setenv(f"BURGERSLAB_{key}", value)
         assert main(argv) == EXIT_USAGE
@@ -446,7 +447,7 @@ class TestRate:
         target, bound = self._target(tmp_path)
         frames, g = read_field_csv(target)
         path = tmp_path / "library.csv"
-        SpaceTimeField(frames, g).to_csv(path)
+        write_lattice_csv(path, frames, g)
         out = tmp_path / "run"
         assert main(
             ["rate", "--config", cfg, "--target", str(path), "--out", str(out),
@@ -460,7 +461,8 @@ class TestRate:
     def test_malformed_target_is_usage_error(self, tmp_path, capsys, defect):
         cfg = write_config(tmp_path, "c.json", self.CFG)
         path = tmp_path / "bad.csv"
-        SpaceTimeField.zero(Grid(nx=16, nt=48, T=0.25)).to_csv(path)
+        g = Grid(nx=16, nt=48, T=0.25)
+        write_lattice_csv(path, SpaceTimeField.zero(g).frames, g)
         rows = path.read_text().splitlines()
         if defect == "empty":
             rows = []

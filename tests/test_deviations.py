@@ -1,4 +1,4 @@
-"""Tests for scaling schedules, Monte Carlo statistics, and tail diagnostics."""
+"""Tests for scaling schedules, deviation fields, and Monte Carlo statistics."""
 import json
 import math
 
@@ -9,10 +9,8 @@ from burgerslab.deviations import (
     DeviationStats,
     McConfig,
     ScalingSchedule,
-    check_scaling,
     deviation_field,
     mc_run,
-    tail_check,
     wilson_interval,
 )
 from burgerslab.grids import DimensionError, Grid, SpaceField, SpaceTimeField
@@ -65,12 +63,6 @@ class TestScalingSchedule:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
             ScalingSchedule.clt().a(0.0)
-
-    def test_check_scaling(self):
-        assert check_scaling(ScalingSchedule.moderate(0.25)) is True
-        assert check_scaling(ScalingSchedule.moderate(0.49)) is True
-        assert check_scaling(ScalingSchedule.clt()) is False
-        assert check_scaling(ScalingSchedule.ldp()) is False
 
 
 # --------------------------------------------------------- deviation field
@@ -397,49 +389,6 @@ class TestImportanceSampling:
         assert rec.valid
 
 
-# ------------------------------------------------------------- tail probe
-
-
-class TestTailCheck:
-    G = Grid(nx=32, nt=192, T=0.5)
-
-    def _report(self, sigma, n_paths=1200):
-        u0 = SpaceField.sample(self.G, SIN)
-        mc = McConfig(eps_grid=(1.0,), n_paths=n_paths, threshold=0.1, master_seed=99)
-        return tail_check(u0, self.G, sigma, mc)
-
-    def test_gaussian_signature(self):
-        rep = self._report(SigmaSpec.constant(1.0))
-        assert not rep.all_zero
-        assert rep.failed_fraction == 0.0
-        assert len(rep.thresholds) >= 3
-        assert rep.slope < 0.0
-        assert rep.r_squared >= 0.9
-        # ladder probabilities decrease along increasing thresholds
-        assert all(a > b for a, b in zip(rep.p_hat, rep.p_hat[1:]))
-        assert all(0 < p < 1 for p in rep.p_hat)
-
-    def test_doubling_sigma_quarters_decay_rate(self):
-        rep1 = self._report(SigmaSpec.constant(1.0))
-        rep2 = self._report(SigmaSpec.constant(2.0))
-        ratio = rep1.slope / rep2.slope
-        assert 2.8 <= ratio <= 5.2
-        # common random numbers make the quantile ladder scale exactly
-        assert ratio == pytest.approx(4.0, rel=1e-12)
-
-    def test_sigma_zero_reports_degenerate(self):
-        rep = self._report(SigmaSpec.constant(0.0), n_paths=64)
-        assert rep.all_zero
-        assert rep.thresholds == ()
-        assert math.isnan(rep.slope)
-
-    def test_report_serializes(self):
-        rep = self._report(SigmaSpec.constant(0.0), n_paths=64)
-        d = rep.to_json_dict()
-        assert d["all_zero"] is True
-        assert d["slope"] is None  # NaN mapped to null for JSON
-
-
 # ----------------------------------------------------------- serialization
 
 
@@ -455,11 +404,9 @@ class TestSerialization:
             McConfig(eps_grid=(1e-2, 5e-3), n_paths=32, threshold=0.1, master_seed=1),
         )
 
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         stats = self._stats()
-        path = tmp_path / "stats.json"
-        stats.to_json(str(path))
-        loaded = json.loads(path.read_text())
+        loaded = json.loads(json.dumps(stats.to_json_dict(), sort_keys=True))
         assert loaded["threshold"] == 0.1
         assert loaded["schedule"] == {"kind": "moderate", "theta": 0.25}
         assert len(loaded["records"]) == 2
@@ -523,25 +470,10 @@ class TestChunkedPasses:
             assert rec.failed_fraction == 1.0
             assert not rec.valid
 
-    def test_importance_json_independent_of_threads(self, tmp_path):
-        texts = []
-        for threads in (1, 2):
-            path = tmp_path / f"t{threads}.json"
-            self._stats(16, 32, 150, threads=threads).to_json(str(path))
-            texts.append(path.read_bytes())
-        assert b'"importance"' in texts[0]
-        assert texts[0] == texts[1]
-
-    def test_tail_report_independent_of_threads(self):
-        g = Grid(nx=16, nt=48, T=0.5)
-        u0 = SpaceField.sample(g, SIN)
-        reports = [
-            json.dumps(tail_check(
-                u0, g, SigmaSpec.constant(1.0),
-                McConfig(eps_grid=(1.0,), n_paths=150, threshold=0.1, master_seed=3,
-                         threads=threads),
-            ).to_json_dict())
+    def test_importance_json_independent_of_threads(self):
+        texts = [
+            json.dumps(self._stats(16, 32, 150, threads=threads).to_json_dict(), sort_keys=True)
             for threads in (1, 2)
         ]
-        assert '"all_zero": false' in reports[0]
-        assert reports[0] == reports[1]
+        assert '"importance"' in texts[0]
+        assert texts[0] == texts[1]

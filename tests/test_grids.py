@@ -1,9 +1,11 @@
 """Lattice, field, and norm contracts."""
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from burgerslab.cli import _emit_field
 from burgerslab.grids import (
     Control,
     DimensionError,
@@ -12,7 +14,9 @@ from burgerslab.grids import (
     SpaceTimeField,
     ht_norm,
     l2_norm,
+    read_lattice_csv,
     sup_t_l2,
+    write_lattice_csv,
 )
 
 RNG_SEED = 911
@@ -271,12 +275,11 @@ def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(RNG_SEED + 6)
     frames = rng.standard_normal((g.nt + 1, g.nx + 1))
     frames[:, 0] = frames[:, -1] = 0.0
-    u = SpaceTimeField(frames, g)
     p = tmp_path / "field.csv"
-    u.to_csv(p)
-    back = SpaceTimeField.from_csv(p)
-    assert back.grid == g
-    assert np.array_equal(back.frames, u.frames)
+    write_lattice_csv(p, frames, g)
+    back, bg = read_lattice_csv(p)
+    assert bg == g
+    assert np.array_equal(back, frames)
 
 
 def test_csv_round_trip_keeps_grid_exactly(tmp_path):
@@ -287,17 +290,16 @@ def test_csv_round_trip_keeps_grid_exactly(tmp_path):
     frames = rng.standard_normal((g.nt + 1, g.nx + 1))
     frames[:, 0] = frames[:, -1] = 0.0
     p = tmp_path / "field.csv"
-    SpaceTimeField(frames, g).to_csv(p)
-    back = SpaceTimeField.from_csv(p)
-    assert back.grid == g
-    assert np.array_equal(back.frames, frames)
+    write_lattice_csv(p, frames, g)
+    back, bg = read_lattice_csv(p)
+    assert bg == g
+    assert np.array_equal(back, frames)
 
 
 def test_csv_layout(tmp_path):
     g = Grid(nx=4, nt=4, T=1.0)
-    u = SpaceTimeField.zero(g)
     p = tmp_path / "zero.csv"
-    u.to_csv(p)
+    write_lattice_csv(p, SpaceTimeField.zero(g).frames, g)
     rows = p.read_text().strip().splitlines()
     header = rows[0].split(",")
     assert header[0] == "t"
@@ -313,8 +315,9 @@ def test_json_round_trip(tmp_path):
     frames = rng.standard_normal((g.nt + 1, g.nx + 1))
     frames[:, 0] = frames[:, -1] = 0.0
     u = SpaceTimeField(frames, g)
+    # the CLI's field writer; from_json is its reader
+    _emit_field(SimpleNamespace(fmt="json", grid=g, out_dir=str(tmp_path)), frames, "field")
     p = tmp_path / "field.json"
-    u.to_json(p)
     doc = json.loads(p.read_text())
     assert doc["grid"] == {"nx": 8, "nt": 6, "T": 0.75}
     back = SpaceTimeField.from_json(p)

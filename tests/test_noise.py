@@ -3,14 +3,13 @@ import numpy as np
 import pytest
 
 from burgerslab.grids import Control, DimensionError, Grid, ht_norm
+from burgerslab.grids import read_lattice_csv, write_lattice_csv
 from burgerslab.noise import (
     NoiseSheet,
     SeedSpec,
     girsanov_log_density,
     girsanov_shift,
     sample_sheet,
-    sheet_from_csv,
-    sheet_to_csv,
 )
 
 
@@ -171,23 +170,25 @@ def test_martingale_mean_one_for_wall_adjacent_control():
     assert abs(mean - 1.0) <= 3.0 * se, (mean, se)
 
 def test_csv_round_trip(tmp_path):
+    # cell data (nt, nx-1), the layout a control is written in
     g = Grid(nx=8, nt=8, T=0.25)
     w = sample_sheet(g, SeedSpec(42, 3))
-    p = tmp_path / "sheet.csv"
-    sheet_to_csv(w, p)
-    back = sheet_from_csv(p)
-    assert back.grid == g
-    assert back.seed == w.seed
-    assert np.array_equal(back.dW, w.dW)
+    p = tmp_path / "cells.csv"
+    write_lattice_csv(p, w.dW, g)
+    back, bg = read_lattice_csv(p)
+    assert bg == g
+    assert np.array_equal(back, w.dW)
 
 
 def test_csv_round_trip_keeps_grid_exactly(tmp_path):
+    # 11 * (0.1 / 11) is 0.10000000000000002: the closing row must be T itself
     g = Grid(nx=8, nt=11, T=0.1)
     w = sample_sheet(g, SeedSpec(42, 5))
-    p = tmp_path / "sheet.csv"
-    sheet_to_csv(w, p)
-    assert p.read_text().startswith(f"seed={w.seed},")
-    back = sheet_from_csv(p)
-    assert back.grid == g
-    assert back.seed == w.seed
-    assert np.array_equal(back.dW, w.dW)
+    p = tmp_path / "cells.csv"
+    write_lattice_csv(p, w.dW, g)
+    rows = p.read_text().splitlines()
+    assert rows[0].startswith("t,")
+    assert rows[-1] == repr(g.T)
+    back, bg = read_lattice_csv(p)
+    assert bg == g
+    assert np.array_equal(back, w.dW)

@@ -513,7 +513,7 @@ class TestSkeletonFixedPoint:
         g, u0, sig, u_det, v = self._setup()
         cfg = SolverConfig(fp_tol=1e-5, fp_max_iter=60)
         res = solve_skeleton_fixed_point(u0, g, v, sig, u_det, cfg)
-        pde = solve_skeleton(u0, g, v, sig, u_det, cfg)
+        pde = solve_skeleton(u0, g, v, sig, u_det)
         budget = max(5.0 * g.dx**2, 10.0 * cfg.fp_tol)
         assert diff_sup(res.field, pde, g) < budget
 
@@ -574,6 +574,6 @@ class TestSineSeriesMild:
         finally:
             tracemalloc.stop()
         assert res.ratios and all(r < 1.0 for r in res.ratios)
-        pde = solve_skeleton(u0, g, v, sig, u_det, cfg)
+        pde = solve_skeleton(u0, g, v, sig, u_det)
         assert diff_sup(res.field, pde, g) <= max(5.0 * g.dx**2, 10.0 * cfg.fp_tol)
         assert peak <= 8 * 2**20

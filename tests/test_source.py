@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import burgerslab
 
 
@@ -78,3 +80,29 @@ def test_cli_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_one_json_writer():
+    # every JSON file is written by cli._write_json
+    counts = {
+        path.name: path.read_text().count("json.dump(")
+        for path in Path(burgerslab.__file__).parent.glob("*.py")
+    }
+    assert {name: n for name, n in counts.items() if n} == {"cli.py": 1}
+
+
+def _exporting_modules() -> list:
+    """burgerslab and every submodule whose source assigns __all__."""
+    names = []
+    for path in sorted(Path(burgerslab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        targets = [t for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
+        if any(getattr(t, "id", None) == "__all__" for t in targets):
+            names.append("burgerslab" if path.stem == "__init__" else f"burgerslab.{path.stem}")
+    return names
+
+
+@pytest.mark.parametrize("module", _exporting_modules())
+def test_star_import_resolves_all(module):
+    # a name deleted from a module but left in its __all__ raises AttributeError
+    exec(f"from {module} import *", {})
