@@ -7,6 +7,15 @@ layout of burgerslab.grids (read_field_csv reads either), fields with
 --format json in the layout SpaceTimeField.from_json reads, structured
 reports to JSON; with --no-timestamp a rerun reproduces every output byte
 for byte.
+
+Every config value must have the JSON type of its DEFAULTS entry: a
+boolean, a string, or a finite number that is not a boolean (a whole one
+where the default is an int, so 16.0 reads as 16).  A list key takes a
+list of entries of its default's first entry's type, sigma.params also
+lists of them (a tabulated sigma's [xs, ys]); schedule.theta may be null.
+A wrong-typed value, like any invalid configuration or flag and any
+unwritable output, exits 2 with a message naming it; numerical failure
+exits 3 and a failed check 4.
 """
 
 import argparse
@@ -166,13 +175,42 @@ class RunConfig:
     timestamp: bool
 
 
+def _typed(default, val, key: str):
+    """val checked against the JSON type of default; numbers come back as its int or float."""
+    if val is None and key == "schedule.theta":
+        return None
+    if isinstance(default, list):
+        if not isinstance(val, list):
+            raise ValueError(f"{key} must be a list, got {val!r}")
+        return [
+            [_typed(default[0], v, key) for v in entry]
+            if isinstance(entry, list) and key == "sigma.params"
+            else _typed(default[0], entry, key)
+            for entry in val
+        ]
+    if isinstance(default, (bool, str)):
+        if type(val) is not type(default):
+            want = "a boolean" if isinstance(default, bool) else "a string"
+            raise ValueError(f"{key} must be {want}, got {val!r}")
+        return val
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ValueError(f"{key} must be a number, got {val!r}")
+    if isinstance(default, int):
+        if isinstance(val, float) and not val.is_integer():
+            raise ValueError(f"{key} must be a whole number, got {val!r}")
+        return int(val)
+    # an int past the float range is no finite float either
+    if isinstance(val, int) and abs(val) > sys.float_info.max or not math.isfinite(val):
+        raise ValueError(f"{key} must be a finite number, got {val!r}")
+    return float(val)
+
+
 def _build_initial(g: Grid, spec: dict) -> SpaceField:
     kind = spec["kind"]
     if kind == "zero":
         return SpaceField.zero(g)
     if kind == "sine":
-        amp = float(spec["amplitude"])
-        mode = int(spec["mode"])
+        amp, mode = spec["amplitude"], spec["mode"]
         if mode < 1:
             raise ConfigError("initial.mode must be a positive integer")
         return SpaceField.sample(g, lambda x: amp * np.sin(mode * np.pi * x))
@@ -181,105 +219,51 @@ def _build_initial(g: Grid, spec: dict) -> SpaceField:
 
 def _build_sigma(spec: dict) -> SigmaSpec:
     kind = spec["kind"]
-    params = spec["params"]
-    if kind == "constant":
-        return SigmaSpec.constant(float(params[0]))
-    if kind == "cosine":
-        return SigmaSpec.cosine(float(params[0]))
-    if kind == "tabulated":
-        xs, ys = params
-        return SigmaSpec.tabulated(tuple(xs), tuple(ys))
-    raise ConfigError(f"sigma.kind must be constant|cosine|tabulated, got {kind!r}")
+    if kind not in ("constant", "cosine", "tabulated"):
+        raise ConfigError(f"sigma.kind must be constant|cosine|tabulated, got {kind!r}")
+    try:
+        return getattr(SigmaSpec, kind)(*spec["params"])
+    except TypeError as exc:
+        raise ValueError(f"sigma.params do not fit a {kind} sigma: {exc}") from exc
 
 
 def _build_schedule(spec: dict) -> ScalingSchedule:
     kind = spec["kind"]
-    if kind == "clt":
-        return ScalingSchedule.clt()
-    if kind == "moderate":
-        return ScalingSchedule.moderate(float(spec["theta"]))
-    if kind == "ldp":
-        return ScalingSchedule.ldp()
-    raise ConfigError(f"schedule.kind must be clt|moderate|ldp, got {kind!r}")
-
-
-def _non_finite_keys(node, path: str = "") -> list:
-    """Dotted keys holding NaN or +-inf, also as a string float() reads so."""
-    if isinstance(node, dict):
-        return [k for key, val in node.items() for k in _non_finite_keys(val, f"{path}{key}.")]
-    if isinstance(node, list):
-        return [k for val in node for k in _non_finite_keys(val, path)]
-    if isinstance(node, bool) or not isinstance(node, (int, float, str)):
-        return []
-    try:
-        return [] if math.isfinite(float(node)) else [path[:-1]]
-    except (ValueError, OverflowError):
-        return []
-
-
-# keys read with int(), which would truncate a fractional value without a word
-INT_KEYS = (
-    "grid.nx", "grid.nt", "initial.mode", "mc.n_paths", "mc.seed", "mc.q_list",
-    "solver.fp_max_iter", "rate.max_iter", "girsanov.n_sheets",
-)
-
-
-def _non_integral_keys(cfg: dict) -> list:
-    """INT_KEYS holding a float with a fractional part, also as a list entry."""
-    bad = []
-    for key in INT_KEYS:
-        section, name = key.split(".")
-        val = cfg[section][name]
-        vals = val if isinstance(val, list) else [val]
-        if any(isinstance(v, float) and not v.is_integer() for v in vals):
-            bad.append(key)
-    return bad
+    return ScalingSchedule(kind, spec["theta"] if kind == "moderate" else None)
 
 
 def validate_config(cfg: dict, threads: int, timestamp: bool) -> RunConfig:
     try:
-        # output holds a directory name and a format name, not numbers
-        bad = _non_finite_keys({k: v for k, v in cfg.items() if k != "output"})
-        if bad:
-            raise ValueError(f"non-finite number in {', '.join(bad)}")
-        bad = _non_integral_keys(cfg)
-        if bad:
-            raise ValueError(f"non-integral value in {', '.join(bad)}")
-        g = Grid(
-            nx=int(cfg["grid"]["nx"]),
-            nt=int(cfg["grid"]["nt"]),
-            T=float(cfg["grid"]["T"]),
-        )
+        # a typed copy: from here on every value has its DEFAULTS type
+        cfg = {sec: {k: _typed(d, cfg[sec][k], f"{sec}.{k}") for k, d in keys.items()}
+               for sec, keys in DEFAULTS.items()}
+        g = Grid(**cfg["grid"])
         u0 = _build_initial(g, cfg["initial"])
         sigma = _build_sigma(cfg["sigma"])
         schedule = _build_schedule(cfg["schedule"])
         mc = McConfig(
-            eps_grid=tuple(cfg["mc"]["eps_grid"]),
-            n_paths=int(cfg["mc"]["n_paths"]),
-            threshold=float(cfg["mc"]["r"]),
-            moment_orders=tuple(cfg["mc"]["q_list"]),
-            master_seed=int(cfg["mc"]["seed"]),
-            use_importance=bool(cfg["mc"]["use_importance"]),
-            importance_scale=float(cfg["mc"]["importance_scale"]),
+            eps_grid=cfg["mc"]["eps_grid"],
+            n_paths=cfg["mc"]["n_paths"],
+            threshold=cfg["mc"]["r"],
+            moment_orders=cfg["mc"]["q_list"],
+            master_seed=cfg["mc"]["seed"],
+            use_importance=cfg["mc"]["use_importance"],
+            importance_scale=cfg["mc"]["importance_scale"],
             threads=threads,
         )
-        solver = SolverConfig(
-            fp_tol=float(cfg["solver"]["fp_tol"]),
-            fp_max_iter=int(cfg["solver"]["fp_max_iter"]),
-        )
-        rate_tol = float(cfg["rate"]["tol"])
-        rate_max_iter = int(cfg["rate"]["max_iter"])
+        solver = SolverConfig(**cfg["solver"])
+        rate_tol, rate_max_iter = cfg["rate"]["tol"], cfg["rate"]["max_iter"]
         if not (rate_tol > 0 and rate_max_iter >= 1):
             raise ValueError("rate.tol must be positive, rate.max_iter >= 1")
-        n_sheets = int(cfg["girsanov"]["n_sheets"])
-        geps = float(cfg["girsanov"]["eps"])
-        rtol = float(cfg["girsanov"]["route_tol"])
+        n_sheets = cfg["girsanov"]["n_sheets"]
+        geps = cfg["girsanov"]["eps"]
+        rtol = cfg["girsanov"]["route_tol"]
         if not (n_sheets >= 2 and geps > 0 and rtol > 0):
             raise ValueError("girsanov needs n_sheets >= 2 and positive eps/route_tol")
         fmt = cfg["output"]["format"]
         if fmt not in ("csv", "json", "both"):
             raise ValueError(f"output.format must be csv|json|both, got {fmt!r}")
-    except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
     return RunConfig(
         grid=g,
@@ -588,6 +572,9 @@ def main(argv=None) -> int:
         return cmd_girsanov_check(rc)
     except ConfigError as exc:
         print(f"burgerslab: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # creating the output directory or writing a file in it
+        print(f"burgerslab: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (InstabilityError, ContractionFailureError) as exc:
         print(f"burgerslab: numerical failure: {exc}", file=sys.stderr)

@@ -2,11 +2,11 @@
 
 Every forward time loop runs through one stepping engine, _march:
 implicit Dirichlet Laplacian (symmetric positive definite tridiagonal,
-LDL^T-factored once per grid by LAPACK ?pttrf and solved by ?pttrs, both
-from the ILP64 OpenBLAS that numpy itself links, called through ctypes so
-the GIL is released during each solve; where numpy links no such library
-the same recurrence in Python floats or numpy rows gives the same bits,
-see HEAT_BACKEND),
+LDL^T-factored once per grid by LAPACK ?pttrf's recurrence in numpy and
+solved by ?pttrs from the ILP64 OpenBLAS that numpy itself links, called
+through ctypes so the GIL is released during each solve; where numpy links
+no such library the same recurrence in Python floats or numpy rows gives
+the same bits, see HEAT_BACKEND),
 explicit conservative central flux, per-cell noise dW/(dt*dx), each step
     (I - dt*L) u^{k+1} = u^k + dt*Dx(flux) + forcing_k ,
 so there is no dt <= dx^2/2 constraint.  The state is one path (nx+1,) or
@@ -161,7 +161,7 @@ class _LDLt:
 
 
 def _pt_symbols(path: str):
-    """?pttrf/?pttrs with the ILP64 OpenBLAS names, reached through `path`, or None.
+    """?pttrs with the ILP64 OpenBLAS name, reached through `path`, or None.
 
     scipy-openblas64, which numpy's wheels bundle since numpy 2, prefixes
     scipy_; the openblas64_ of numpy 1.x wheels does not.  In both the 64_
@@ -171,21 +171,19 @@ def _pt_symbols(path: str):
         lib = ctypes.CDLL(path)
     except OSError:
         return None
-    for name in ("scipy_dpttr%s_64_", "dpttr%s_64_"):
-        try:
-            pttrf, pttrs = getattr(lib, name % "f"), getattr(lib, name % "s")
-        except AttributeError:
-            continue
-        # no argtypes: converting seven arguments costs ~3 us a call, a tenth
-        # of a 64-column solve.  Every argument is a byref this module builds
-        # on a c_int64 or on a float64 buffer it allocated and sized itself.
-        pttrf.restype = pttrs.restype = None
-        return pttrf, pttrs
+    for name in ("scipy_dpttrs_64_", "dpttrs_64_"):
+        pttrs = getattr(lib, name, None)
+        if pttrs is not None:
+            # no argtypes: converting seven arguments costs ~3 us a call, a tenth
+            # of a 64-column solve.  Every argument is a byref this module builds
+            # on a c_int64 or on a float64 buffer it allocated and sized itself.
+            pttrs.restype = None
+            return pttrs
     return None
 
 
 def _openblas_pt():
-    """?pttrf/?pttrs of the ILP64 OpenBLAS numpy's wheels bundle, or (None, None).
+    """?pttrs of the ILP64 OpenBLAS numpy's wheels bundle, or None.
 
     On Linux and macOS the linear-algebra extension's handle reaches the
     library it links; on Windows it does not, and the wheel's DLL is opened
@@ -198,21 +196,11 @@ def _openblas_pt():
         found = _pt_symbols(path)
         if found is not None:
             return found
-    return None, None
+    return None
 
 
-_DPTTRF, _DPTTRS = _openblas_pt()
+_DPTTRS = _openblas_pt()
 HEAT_BACKEND = "python recurrence" if _DPTTRS is None else "lapack ?pttrs"
-
-
-def _lapack_pttrf(d: np.ndarray, e: np.ndarray) -> _LDLt:
-    """LDL^T of the SPD tridiagonal (d, e) in place by ?pttrf; ctypes drops the GIL."""
-    factor = _LDLt(d, e)
-    info = ctypes.c_int64()
-    _DPTTRF(*factor.refs, ctypes.byref(info))
-    if info.value != 0:
-        raise np.linalg.LinAlgError(f"?pttrf failed on I - dt*L (info = {info.value})")
-    return factor
 
 
 def _solution_buffer(factor: _LDLt, rhs, order: str) -> np.ndarray:
@@ -284,20 +272,19 @@ def _numpy_pttrs(factor: _LDLt, rhs) -> np.ndarray:
     return np.asfortranarray(x)  # the layout the LAPACK route returns
 
 
-_pttrf, _pttrs = (_numpy_pttrf, _numpy_pttrs) if _DPTTRS is None else (_lapack_pttrf, _lapack_pttrs)
+_pttrs = _numpy_pttrs if _DPTTRS is None else _lapack_pttrs
 
 
 def heat_factor(g: Grid):
     """LDL^T factor of I - dt*L (Dirichlet tridiagonal Laplacian), opaque.
 
-    ?pttrf on the diagonal 1 + 2*dt/dx^2 and off-diagonal -dt/dx^2; the
-    matrix is symmetric positive definite for every dt > 0.  HEAT_BACKEND
-    names the route: LAPACK from the OpenBLAS numpy links, called through
-    ctypes (which releases the GIL), or where numpy has none, the same
-    recurrence in Python.
+    ?pttrf's recurrence on the diagonal 1 + 2*dt/dx^2 and off-diagonal
+    -dt/dx^2, in numpy on every install, so the factor's bits never depend
+    on the solve route; the matrix is symmetric positive definite for every
+    dt > 0.
     """
     lam = g.dt / g.dx**2
-    return _pttrf(np.full(g.nx - 1, 1.0 + 2.0 * lam), np.full(g.nx - 2, -lam))
+    return _numpy_pttrf(np.full(g.nx - 1, 1.0 + 2.0 * lam), np.full(g.nx - 2, -lam))
 
 
 def heat_solve(factor, rhs):

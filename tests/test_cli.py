@@ -131,6 +131,12 @@ class TestConfig:
             ("mc", {"MC__Q_LIST": "[2, 2.5]"}, [], "mc.q_list"),
             ("mc", {"MC__SEED": "0.5"}, [], "mc.seed"),
             ("girsanov-check", {"GIRSANOV__N_SHEETS": "100.5"}, [], "girsanov.n_sheets"),
+            # wrong JSON types, each once read by a cast as something else
+            ("mc", {"MC__USE_IMPORTANCE": "False"}, [], "mc.use_importance"),
+            ("mc", {"MC__N_PATHS": "true"}, [], "mc.n_paths"),
+            ("deterministic", {"GRID__NX": '"16"'}, [], "grid.nx"),
+            ("mc", {"SIGMA__KIND": "constant", "SIGMA__PARAMS": "[0.5, 7]"}, [],
+             "sigma.params"),
         ],
     )
     def test_non_finite_or_out_of_range_number_rejected(
@@ -153,6 +159,34 @@ class TestConfig:
             ["deterministic", "--config", cfg, "--out", str(out), "--no-timestamp"]
         ) == EXIT_OK
         assert read_field_csv(str(out / "solution.csv"))[1] == Grid(nx=16, nt=48, T=0.5)
+
+    @pytest.mark.parametrize("key", [f"{s}.{k}" for s, keys in DEFAULTS.items() for k in keys])
+    def test_wrong_type_names_key(self, tmp_path, monkeypatch, capsys, key):
+        section, name = key.split(".")
+        cfg = write_config(tmp_path, "c.json", {section: {name: {}}})
+        out = tmp_path / "run"
+        out.mkdir()
+        monkeypatch.chdir(out)  # output.dir is "." unless it is the key under test
+        assert main(["mc", "--config", cfg, "--no-timestamp"]) == EXIT_USAGE
+        assert key in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_null_theta_accepted_without_moderate(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {
+            **TestMc.CFG, "schedule": {"kind": "clt", "theta": None},
+        })
+        out = tmp_path / "run"
+        assert main(["mc", "--config", cfg, "--out", str(out), "--no-timestamp"]) == EXIT_OK
+        assert json.loads((out / "stats.json").read_text())["schedule"]["kind"] == "clt"
+
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = write_config(tmp_path, "c.json", SMALL_GRID)
+        argv = ["deterministic", "--config", cfg, "--out", str(blocker / "run")]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "cannot write output" in err and err.count("\n") == 1
 
 
 # -------------------------------------------------------------- commands

@@ -184,12 +184,7 @@ class TestHeatSolve:
     @pytest.mark.parametrize("g", HEAT_GRIDS, ids=["nx4", "default"])
     def test_lapack_and_numpy_routes_equal_bits(self, g):
         # the fallback is the same recurrence in the same order, so every bit agrees
-        lam = g.dt / g.dx**2
-        diag, off = np.full(g.nx - 1, 1.0 + 2.0 * lam), np.full(g.nx - 2, -lam)
-        lapack = solvers._lapack_pttrf(diag.copy(), off.copy())
-        recurrence = solvers._numpy_pttrf(diag.copy(), off.copy())
-        assert lapack.d.tobytes() == recurrence.d.tobytes()
-        assert lapack.e.tobytes() == recurrence.e.tobytes()
+        factor = heat_factor(g)
         rng = np.random.default_rng(15)
         # the fallback runs narrow blocks on Python floats, wide ones on numpy rows
         narrow = solvers._ROW_SWEEP_MIN
@@ -201,10 +196,10 @@ class TestHeatSolve:
             bad[:, 5] = 1.7e308 * np.sign(bad[:, 5])  # overflows to inf midway
             blocks.append(bad)
         for rhs in blocks:
-            x = solvers._lapack_pttrs(lapack, rhs)
+            x = solvers._lapack_pttrs(factor, rhs)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # the fallback sets its own np.errstate
-                y = solvers._numpy_pttrs(recurrence, rhs)
+                y = solvers._numpy_pttrs(factor, rhs)
             assert x.shape == y.shape == rhs.shape
             assert x.flags.f_contiguous and y.flags.f_contiguous
             assert x.tobytes(order="A") == y.tobytes(order="A")
@@ -253,8 +248,7 @@ class TestHeatSolve:
             return ctypes.cast(f, ctypes.c_void_p).value
 
         found = [solvers._pt_symbols(str(path)) for path in bundled]
-        assert any(f is not None and (addr(f[0]), addr(f[1])) == (addr(solvers._DPTTRF), addr(solvers._DPTTRS))
-                   for f in found)
+        assert any(f is not None and addr(f) == addr(solvers._DPTTRS) for f in found)
 
     def test_library_without_pt_routines_not_taken(self, tmp_path):
         assert solvers._pt_symbols(str(tmp_path / "missing.so")) is None

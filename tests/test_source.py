@@ -106,3 +106,17 @@ def _exporting_modules() -> list:
 def test_star_import_resolves_all(module):
     # a name deleted from a module but left in its __all__ raises AttributeError
     exec(f"from {module} import *", {})
+
+
+def test_config_values_checked_not_cast():
+    # cli._typed gives every config value its DEFAULTS type; a cast such as
+    # int(cfg["grid"]["nx"]) would read a wrong-typed value as something else
+    path = Path(burgerslab.__file__).parent / "cli.py"
+    casts = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("int", "float", "bool", "tuple")
+        and any(isinstance(arg, ast.Subscript) for arg in node.args)
+    ]
+    assert casts == []
