@@ -78,6 +78,13 @@ DEFAULTS = {
 }
 
 
+_MC_KEYS = {  # McConfig field -> the mc key it is read from
+    "eps_grid": "eps_grid", "n_paths": "n_paths", "threshold": "r",
+    "moment_orders": "q_list", "master_seed": "seed",
+    "use_importance": "use_importance", "importance_scale": "importance_scale",
+}
+
+
 class ConfigError(Exception):
     """Invalid configuration or usage; maps to exit code 2."""
 
@@ -223,13 +230,27 @@ def _build_sigma(spec: dict) -> SigmaSpec:
         raise ConfigError(f"sigma.kind must be constant|cosine|tabulated, got {kind!r}")
     try:
         return getattr(SigmaSpec, kind)(*spec["params"])
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"sigma.params do not fit a {kind} sigma: {exc}") from exc
 
 
 def _build_schedule(spec: dict) -> ScalingSchedule:
     kind = spec["kind"]
-    return ScalingSchedule(kind, spec["theta"] if kind == "moderate" else None)
+    try:
+        return ScalingSchedule(kind, spec["theta"] if kind == "moderate" else None)
+    except ValueError as exc:
+        # a moderate schedule can only fail on its theta
+        key = "schedule.theta" if kind == "moderate" else "schedule.kind"
+        raise ValueError(f"{key}: {exc}") from exc
+
+
+def _build_mc(spec: dict, threads: int) -> McConfig:
+    try:
+        return McConfig(**{f: spec[k] for f, k in _MC_KEYS.items()}, threads=threads)
+    except ValueError as exc:
+        field = str(exc).split()[0]
+        key = f"mc.{_MC_KEYS[field]}" if field in _MC_KEYS else "--threads"
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 def validate_config(cfg: dict, threads: int, timestamp: bool) -> RunConfig:
@@ -241,16 +262,7 @@ def validate_config(cfg: dict, threads: int, timestamp: bool) -> RunConfig:
         u0 = _build_initial(g, cfg["initial"])
         sigma = _build_sigma(cfg["sigma"])
         schedule = _build_schedule(cfg["schedule"])
-        mc = McConfig(
-            eps_grid=cfg["mc"]["eps_grid"],
-            n_paths=cfg["mc"]["n_paths"],
-            threshold=cfg["mc"]["r"],
-            moment_orders=cfg["mc"]["q_list"],
-            master_seed=cfg["mc"]["seed"],
-            use_importance=cfg["mc"]["use_importance"],
-            importance_scale=cfg["mc"]["importance_scale"],
-            threads=threads,
-        )
+        mc = _build_mc(cfg["mc"], threads)
         solver = SolverConfig(**cfg["solver"])
         rate_tol, rate_max_iter = cfg["rate"]["tol"], cfg["rate"]["max_iter"]
         if not (rate_tol > 0 and rate_max_iter >= 1):

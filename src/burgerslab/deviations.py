@@ -121,6 +121,8 @@ def _whole(x, name: str) -> int:
 
 @dataclass(frozen=True)
 class McConfig:
+    """Monte Carlo settings; every ValueError starts with the field it rejects."""
+
     eps_grid: tuple
     n_paths: int
     threshold: float
@@ -151,10 +153,10 @@ class McConfig:
             raise ValueError("threshold must be positive and finite")
         if not 0 < self.importance_scale < math.inf:
             raise ValueError("importance_scale must be positive and finite")
-        orders = tuple(_whole(q, "moment orders") for q in self.moment_orders)
+        orders = tuple(_whole(q, "moment_orders") for q in self.moment_orders)
         object.__setattr__(self, "moment_orders", orders)
         if any(q < 2 for q in orders):
-            raise ValueError("moment orders must be integers >= 2")
+            raise ValueError("moment_orders must be integers >= 2")
         if self.threads < 1:
             raise ValueError("threads must be positive")
 

@@ -5,14 +5,21 @@ for large times, and a method-of-images sum of line Gaussians, efficient for
 small times.  Every evaluator takes the image sum up to SWITCH_TIME = 0.05
 and the sine series above it; a tail rule sizes each series to its worst
 time in the call, which needs at most 3 images a side or 11 sine modes.
+When every t of a call lies on one side (always, for a scalar t), that one
+series runs on the unbroadcast t, x, y and only its result is broadcast;
+a call with t on both sides evaluates each side on its gathered points.
+Both routes see the same operands in the same order, so the bits agree.
 
 `verify_kernel_estimates` re-measures the classical kernel bounds used by
 the moderate-deviation analysis (mass, gradient integrability, time- and
 space-increment exponents), collapsing inner space integrals exactly with
-the semigroup identity  int_0^1 G_a(x,y) G_b(x,z) dx = G_{a+b}(y,z).
+the semigroup identity  int_0^1 G_a(x,y) G_b(x,z) dx = G_{a+b}(y,z).  The
+gradient L^beta integrals of every beta share one set of gradient samples,
+and Gauss-Legendre rules come from one cache of read-only arrays.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -115,23 +122,34 @@ def _image_terms(t_max: float) -> int:
 def _switched(image, spectral, t, *args, **kwargs):
     """image(t, *args, n) up to SWITCH_TIME, spectral(t, *args, n) above it.
 
-    Each side takes the term count its tail rule asks for at its worst t;
-    scalar inputs give a float, array inputs their broadcast shape.
+    Each side takes the term count its tail rule asks for at its worst t.
+    When every t lies on one side, that series runs once on the unbroadcast
+    arguments; otherwise each side runs on its gathered points.  Scalar
+    inputs give a float, array inputs a fresh array of their broadcast shape.
     """
-    tb, *rest = np.broadcast_arrays(_check_t(t), *(np.asarray(a, dtype=float) for a in args))
-    out = np.empty(tb.shape)
-    small = tb <= SWITCH_TIME
-    if np.any(small):
-        ts = tb[small]
-        out[small] = image(ts, *(a[small] for a in rest), _image_terms(ts.max()), **kwargs)
-    if not np.all(small):
-        ts = tb[~small]
-        out[~small] = spectral(
-            ts, *(a[~small] for a in rest), _spectral_terms(ts.min()), **kwargs
-        )
+    t_arr = _check_t(t)
+    arrs = [np.asarray(a, dtype=float) for a in args]
+    shape = np.broadcast_shapes(np.shape(t), *(a.shape for a in arrs))
+
+    def side(small, ts, *rest):
+        if small:
+            return image(ts, *rest, _image_terms(ts.max()), **kwargs)
+        return spectral(ts, *rest, _spectral_terms(ts.min()), **kwargs)
+
+    small = t_arr <= SWITCH_TIME
+    if small.all() or not small.any():
+        one = side(small[0], np.asarray(t, dtype=float), *arrs)
+        out = np.broadcast_to(one, shape).copy()
+    else:
+        tb, *rest = np.broadcast_arrays(t_arr, *arrs)
+        out = np.empty(tb.shape)
+        pick = tb <= SWITCH_TIME
+        out[pick] = side(True, tb[pick], *(a[pick] for a in rest))
+        out[~pick] = side(False, tb[~pick], *(a[~pick] for a in rest))
+        out = out.reshape(shape)
     if np.isscalar(t) and all(np.isscalar(a) for a in args):
-        return float(out[0])
-    return out.reshape(np.broadcast_shapes(np.shape(t), *(np.shape(a) for a in args)))
+        return float(out)
+    return out
 
 
 def eval_G(t, x, y):
@@ -188,8 +206,17 @@ class EstimateReport:
         return [it.to_json_dict() for it in self.items]
 
 
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(n: int) -> tuple:
+    """The n-node Gauss-Legendre rule on [-1, 1] as read-only (nodes, weights)."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def _gauss(n: int, a: float, b: float):
-    xs, ws = np.polynomial.legendre.leggauss(n)
+    xs, ws = gauss_legendre(n)
     return 0.5 * (b - a) * xs + 0.5 * (a + b), 0.5 * (b - a) * ws
 
 
@@ -203,31 +230,33 @@ def _loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-def _grad_lbeta(t: float, y: float, beta: float) -> float:
-    """int_0^t int_0^1 |d_x G_tau(x, y)|^beta dx dtau.
+def _grad_lbeta(t: float, y: float, betas: tuple) -> tuple:
+    """int_0^t int_0^1 |d_x G_tau(x, y)|^beta dx dtau, for each beta in betas.
 
     Split at delta = 1e-3: below it the boundary images are < 1e-10 and the
     exact whole-line scaling |d_x p|_beta^beta = C_beta tau^(1/2 - beta)
     integrates in closed form; above it, Gauss quadrature in sqrt(tau) with
-    a trapezoid x-integral resolving the sqrt(tau)-wide kernel.
+    a trapezoid x-integral resolving the sqrt(tau)-wide kernel.  Every beta
+    reads the same gradient samples, one eval_dG_dy call per Gauss node.
     """
     delta = min(1e-3, 0.5 * t)
     w = np.linspace(-12.0, 12.0, 4801)
     gw = np.abs(w / 2.0) * np.exp(-(w**2) / 4.0) / np.sqrt(4.0 * np.pi)
-    c_beta = np.trapezoid(gw**beta, w)
-    head = c_beta * delta ** (1.5 - beta) / (1.5 - beta)
+    heads = [np.trapezoid(gw**beta, w) * delta ** (1.5 - beta) / (1.5 - beta)
+             for beta in betas]
 
     xg = np.linspace(0.0, 1.0, 2001)
     wq = np.full(xg.size, xg[1] - xg[0])
     wq[0] = wq[-1] = 0.5 * (xg[1] - xg[0])
 
     r, wr = _gauss(48, float(np.sqrt(delta)), float(np.sqrt(t)))
-    tail = 0.0
+    tails = [0.0] * len(betas)
     for ri, wi in zip(r, wr):
         # d_x G_tau(x, y) = d_y G_tau(y, x) by symmetry of the series in (x, y)
-        grad = eval_dG_dy(ri**2, y, xg)
-        tail += wi * 2.0 * ri * float(np.dot(wq, np.abs(grad) ** beta))
-    return head + tail
+        grad = np.abs(eval_dG_dy(ri**2, y, xg))
+        for k, beta in enumerate(betas):
+            tails[k] += wi * 2.0 * ri * float(np.dot(wq, grad**beta))
+    return tuple(head + tail for head, tail in zip(heads, tails))
 
 
 def verify_kernel_estimates(g: Grid) -> EstimateReport:
@@ -263,8 +292,10 @@ def verify_kernel_estimates(g: Grid) -> EstimateReport:
     items.append(EstimateItem("i-limit", mlim, 1.0, abs(mlim - 1.0) <= 1e-6))
 
     # (ii) gradient L^beta integrals, beta inside (1/2, 3/2)
-    for beta in (1.0, 1.4):
-        val = max(_grad_lbeta(horizon, y, beta) for y in (0.3, 0.5, 0.7))
+    betas = (1.0, 1.4)
+    per_y = [_grad_lbeta(horizon, y, betas) for y in (0.3, 0.5, 0.7)]
+    for beta, vals in zip(betas, zip(*per_y)):
+        val = max(vals)
         items.append(
             EstimateItem(f"ii-beta-{beta}", val, "finite", bool(np.isfinite(val)))
         )
@@ -285,22 +316,22 @@ def verify_kernel_estimates(g: Grid) -> EstimateReport:
     t_fix = 0.3 * horizon
     r, wr = _gauss(96, 0.0, float(np.sqrt(t_fix)))
     tau = 2.0 * r**2
+    g_y0 = eval_G(tau, y0, y0)
     vals4 = []
-    for d in deltas:
-        diff = (
-            eval_G(tau, y0, y0) - 2.0 * eval_G(tau + d, y0, y0) + eval_G(tau + 2.0 * d, y0, y0)
-        )
-        vals4.append(float(np.sum(wr * 2.0 * r * diff)) + _diag_time_integral(d, y0, y0))
+    for d, tail in zip(deltas, tail_vals):
+        diff = g_y0 - 2.0 * eval_G(tau + d, y0, y0) + eval_G(tau + 2.0 * d, y0, y0)
+        vals4.append(float(np.sum(wr * 2.0 * r * diff)) + tail)
     slope4 = _loglog_slope(deltas, vals4)
     items.append(EstimateItem("iv-exponent", slope4, 0.5, abs(slope4 - 0.5) <= 0.1))
 
     # (v) space-increment variance exponent
     y1 = 0.45
     etas = np.geomspace(0.01, 0.1, 8)
+    g_y1 = eval_G(tau, y1, y1)
     vals5 = []
     for eta in etas:
         z1 = y1 + eta
-        diff = eval_G(tau, y1, y1) - 2.0 * eval_G(tau, y1, z1) + eval_G(tau, z1, z1)
+        diff = g_y1 - 2.0 * eval_G(tau, y1, z1) + eval_G(tau, z1, z1)
         vals5.append(float(np.sum(wr * 2.0 * r * diff)))
     slope5 = _loglog_slope(etas, vals5)
     items.append(EstimateItem("v-exponent", slope5, 1.0, abs(slope5 - 1.0) <= 0.1))

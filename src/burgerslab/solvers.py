@@ -35,8 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from .grids import Control, Grid, SpaceField, SpaceTimeField, same_grid, sup_t_l2
-# not called here; perfbench/child.py BOUNDARIES still wraps these two names
-from .kernels import eval_G, eval_dG_dy
+# eval_G and eval_dG_dy are not called here; perfbench/child.py BOUNDARIES still wraps them
+from .kernels import eval_G, eval_dG_dy, gauss_legendre
 from .noise import NoiseSheet
 
 __all__ = [
@@ -508,7 +508,7 @@ def solve_skeleton_fixed_point(
     _check_skeleton_args(u0, g, v, u_det)
 
     lam, synth, proj_G, proj_dG = _sine_basis(g)
-    nodes, wts = np.polynomial.legendre.leggauss(32)
+    nodes, wts = gauss_legendre(32)
     tk = (np.arange(1, g.nt + 1) * g.dt)[:, None]
     r = 0.5 * np.sqrt(tk) * (nodes + 1.0)  # (nt, 32), every t_k at once
     wr = 0.5 * np.sqrt(tk) * wts * 2.0 * r

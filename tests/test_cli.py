@@ -137,6 +137,13 @@ class TestConfig:
             ("deterministic", {"GRID__NX": '"16"'}, [], "grid.nx"),
             ("mc", {"SIGMA__KIND": "constant", "SIGMA__PARAMS": "[0.5, 7]"}, [],
              "sigma.params"),
+            # well-typed values a library constructor rejects, named by config key
+            ("mc", {"SCHEDULE__THETA": "null"}, [], "schedule.theta"),
+            ("mc", {}, ["--seed", "-1"], "mc.seed"),
+            ("mc", {"SIGMA__KIND": "tabulated", "SIGMA__PARAMS": "[[0, 0.5, 1], [1, 1]]"}, [],
+             "sigma.params"),
+            ("mc", {"MC__R": "-1"}, [], "mc.r"),
+            ("mc", {"MC__Q_LIST": "[1]"}, [], "mc.q_list"),
         ],
     )
     def test_non_finite_or_out_of_range_number_rejected(

@@ -8,14 +8,18 @@ import json
 import numpy as np
 import pytest
 
+from burgerslab import kernels
 from burgerslab.grids import Grid
 from burgerslab.kernels import (
+    SWITCH_TIME,
     EstimateReport,
     KernelDomainError,
+    _grad_lbeta,
     _image_G,
     _spectral_G,
     eval_G,
     eval_dG_dy,
+    gauss_legendre,
     kernel_mass,
     verify_kernel_estimates,
 )
@@ -53,6 +57,51 @@ def test_domain_error_for_nonpositive_t(others):
                 eval_dG_dy(t, 0.3, 0.4)
             with pytest.raises(KernelDomainError):
                 kernel_mass(t, 0.4)
+
+
+# one-sided calls run one series on unbroadcast arguments; a t vector that
+# straddles the switch takes the gather path, which must give the same bits
+@pytest.mark.parametrize("t, t_other", [(0.01, 0.5), (SWITCH_TIME, 0.5), (0.3, 0.01)],
+                         ids=["below", "at", "above"])
+@pytest.mark.parametrize("f, args", [(eval_G, (0.3, 0.6)), (eval_dG_dy, (0.3, 0.6)),
+                                     (kernel_mass, (0.6,))],
+                         ids=["eval_G", "eval_dG_dy", "kernel_mass"])
+def test_one_sided_route_matches_gather_bits(f, args, t, t_other):
+    value = f(t, *args)
+    assert type(value) is float
+    assert value == f(np.array([t, t_other]), *args)[0]
+
+    ys = np.linspace(0.0, 1.0, 7)
+    row = f(t, *args[:-1], ys)
+    assert row.shape == ys.shape and row.flags.writeable
+    assert np.array_equal(row, f(np.array([[t], [t_other]]), *args[:-1], ys)[0])
+
+    grid = f(np.array([t, t]), *args[:-1], ys[:, None])  # broadcast to (7, 2)
+    assert grid.shape == (7, 2) and grid.flags.writeable
+    assert np.array_equal(grid, np.repeat(row[:, None], 2, axis=1))
+
+
+def test_grad_samples_shared_across_betas(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return eval_dG_dy(*args)
+
+    monkeypatch.setattr(kernels, "eval_dG_dy", counted)
+    verify_kernel_estimates(Grid(nx=64, nt=256, T=1.0))
+    assert len(calls) == 3 * 48  # one per (y, Gauss node), whatever the betas
+    both = _grad_lbeta(0.5, 0.3, (1.0, 1.4))
+    assert both == (_grad_lbeta(0.5, 0.3, (1.0,))[0], _grad_lbeta(0.5, 0.3, (1.4,))[0])
+
+
+def test_gauss_rule_cached_read_only():
+    nodes, weights = gauss_legendre(32)
+    assert gauss_legendre(32)[0] is nodes
+    assert np.array_equal(nodes, np.polynomial.legendre.leggauss(32)[0])
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 # ids: cfg0 the sine series, cfg1 the image sum, cfg2 the time switch

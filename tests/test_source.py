@@ -120,3 +120,12 @@ def test_config_values_checked_not_cast():
         and any(isinstance(arg, ast.Subscript) for arg in node.args)
     ]
     assert casts == []
+
+
+def test_one_gauss_legendre_source():
+    # every Gauss-Legendre rule comes from kernels.gauss_legendre's cache
+    counts = {
+        path.name: path.read_text().count("leggauss(")
+        for path in Path(burgerslab.__file__).parent.glob("*.py")
+    }
+    assert {name: n for name, n in counts.items() if n} == {"kernels.py": 1}
