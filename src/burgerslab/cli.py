@@ -16,6 +16,16 @@ lists of them (a tabulated sigma's [xs, ys]); schedule.theta may be null.
 A wrong-typed value, like any invalid configuration or flag and any
 unwritable output, exits 2 with a message naming it; numerical failure
 exits 3 and a failed check 4.
+
+girsanov-check tests the Girsanov density of the unit sine control at
+h = 1 on girsanov.n_sheets sheets.  On each sheet S = -sum(v dW) is exactly
+N(0, s2), s2 the density's own quadratic term, so the weight is
+exp(S - s2/2).  Two tests decide: the mean weight lies within 3 exact
+standard errors sqrt(expm1(s2)/n) of one, and Q = sum(S^2)/s2 fits its
+exact chi-squared law with n degrees of freedom, two-sided.  Each rejects
+a true density with probability 0.27%, so a seed false-alarms with
+probability at most 0.54%.  The check also compares the controlled solver
+with the route through the shifted noise.
 """
 
 import argparse
@@ -34,7 +44,8 @@ from .deviations import McConfig, ScalingSchedule, _map_chunks, deviation_field,
 from .grids import Control, Grid, SpaceField, SpaceTimeField, ht_norm, sup_t_l2
 from .grids import frame_norms, read_lattice_csv, write_lattice_csv
 from .kernels import verify_kernel_estimates
-from .noise import SeedSpec, girsanov_log_density, girsanov_shift, sample_sheet
+from .noise import NoiseSheet, SeedSpec, chi2_sf, girsanov_log_density, girsanov_shift
+from .noise import sample_sheet
 from .ratefn import SkeletonContext, rate_value
 from .solvers import (
     HEAT_BACKEND,
@@ -73,7 +84,12 @@ DEFAULTS = {
     "solver": {"fp_tol": 1e-4, "fp_max_iter": 40},
     # max_iter bounds CGLS, run only on targets the one-sweep exact route rejects
     "rate": {"tol": 1e-6, "max_iter": 2000},
-    "girsanov": {"n_sheets": 20000, "eps": 1e-3, "route_tol": 1e-10},
+    # n_sheets by power: an error delta in the density's quadratic term moves
+    # the mean weight by about delta/2, which the 3-se mean test on 20000
+    # sheets saw from delta ~ 6*sqrt(expm1(1)/20000) = 0.056; it moves Q/n
+    # by delta, which the chi-squared test sees from 3*sqrt(2/n), 0.056 at
+    # n ~ 5700
+    "girsanov": {"n_sheets": 6000, "eps": 1e-3, "route_tol": 1e-10},
     "output": {"dir": ".", "format": "csv"},
 }
 
@@ -441,26 +457,53 @@ def _unit_profile_control(g: Grid) -> Control:
     return Control(vals / ht_norm(vals, g), g)
 
 
+# Either test of girsanov-check rejects a true density with probability
+# erfc(3/sqrt(2)) = 0.27%, the size of a 3-se normal test; a seed fails one
+# of them with probability at most twice that, 0.54%.
+GIRSANOV_P_MIN = math.erfc(3.0 / math.sqrt(2.0))
+
+
+def _variance_test(s: np.ndarray, s2: float) -> tuple:
+    """Q/n and the two-sided p-value of Q = sum(s^2)/s2.
+
+    Q is chi-squared with n = s.size degrees of freedom when s is n draws
+    of N(0, s2).
+    """
+    n = s.size
+    q = float(np.sum(s * s)) / s2
+    sf = chi2_sf(q, n)
+    return q / n, 2.0 * min(sf, 1.0 - sf)
+
+
 def cmd_girsanov_check(rc: RunConfig) -> int:
     g = rc.grid
     v = _unit_profile_control(g)
-    zero_v = Control.zero(g)
+    seed = rc.mc.master_seed
 
     # density with no shift is exp(0) on every sheet
-    w0 = sample_sheet(g, SeedSpec(rc.mc.master_seed, 0))
-    zero_mean = float(math.exp(girsanov_log_density(w0, zero_v, 1.0)))
+    w0 = sample_sheet(g, SeedSpec(seed, 0))
+    zero_mean = float(math.exp(girsanov_log_density(w0, Control.zero(g), 1.0)))
 
-    # exponential-martingale mean over independent sheets, h = 1; a worker
-    # holds one sheet at a time
-    def chunk_weights(indices):
-        sheets = (sample_sheet(g, SeedSpec(rc.mc.master_seed, i)) for i in indices)
-        return [math.exp(girsanov_log_density(w, v, 1.0)) for w in sheets]
+    # the density's quadratic term, read off the zero sheet: log-density -s2/2
+    zero_sheet = NoiseSheet(np.zeros_like(w0.dW), seed=0, grid=g)
+    s2 = -2.0 * girsanov_log_density(zero_sheet, v, 1.0)
+
+    # log-density per independent sheet, h = 1; a worker holds one sheet at a time
+    def chunk_log_densities(indices):
+        return [
+            girsanov_log_density(sample_sheet(g, SeedSpec(seed, i)), v, 1.0)
+            for i in indices
+        ]
 
     n = rc.girsanov_n_sheets
-    weights = np.concatenate(_map_chunks(chunk_weights, n, rc.mc.threads))
+    log_dens = np.concatenate(_map_chunks(chunk_log_densities, n, rc.mc.threads))
+    # libm's exp per sheet; numpy's vectorised exp may round differently
+    weights = np.array([math.exp(x) for x in log_dens])
     mean = float(weights.mean())
-    stderr = float(weights.std(ddof=1) / math.sqrt(n))
+    stderr = math.sqrt(math.expm1(s2) / n)
     mean_pass = abs(mean - 1.0) <= 3.0 * stderr
+    variance_ratio, p_value = _variance_test(log_dens + 0.5 * s2, s2)
+    variance_pass = p_value >= GIRSANOV_P_MIN
 
     # the controlled solver against the shifted-noise route
     eps = rc.girsanov_eps
@@ -481,18 +524,24 @@ def cmd_girsanov_check(rc: RunConfig) -> int:
 
     payload = {
         "metadata": _metadata(rc, "girsanov-check"),
+        "seed": seed,
         "zero_control_mean": zero_mean,
         "n_sheets": n,
+        "s2": s2,
         "mean": mean,
         "stderr": stderr,
         "mean_within_3se": mean_pass,
+        "variance_ratio": variance_ratio,
+        "variance_p_value": p_value,
+        "variance_pass": variance_pass,
+        "false_alarm_rate": 2.0 * GIRSANOV_P_MIN,
         "eps": eps,
         "route_gap": gap,
         "route_tol": rc.girsanov_route_tol,
         "route_pass": route_pass,
     }
     _write_json(payload, os.path.join(rc.out_dir, "girsanov_report.json"))
-    ok = mean_pass and route_pass and zero_mean == 1.0
+    ok = mean_pass and variance_pass and route_pass and zero_mean == 1.0
     return EXIT_OK if ok else EXIT_CHECK
 
 
@@ -555,7 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "girsanov-check",
         parents=[common],
-        help="density mean-one test and the two-route comparison",
+        help="test the Girsanov density's mean and its exact chi-squared variance "
+        "law; compare the controlled solver with the shifted-noise route",
     )
     return parser
 

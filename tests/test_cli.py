@@ -1,24 +1,29 @@
 """End-to-end tests for the command-line front end."""
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from burgerslab import ratefn
+from burgerslab import noise, ratefn
 from burgerslab.cli import (
     DEFAULTS,
     EXIT_CHECK,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    GIRSANOV_P_MIN,
     _field_to_csv,
+    _unit_profile_control,
+    _variance_test,
     main,
     read_field_csv,
 )
-from burgerslab.grids import Control, Grid, SpaceField, SpaceTimeField, ht_norm
+from burgerslab.grids import Control, Grid, SpaceField, SpaceTimeField, ht_dot, ht_norm
 from burgerslab.grids import write_lattice_csv
+from burgerslab.noise import SeedSpec, girsanov_log_density, sample_sheet
 from burgerslab.ratefn import SkeletonContext, apply_forward
 from burgerslab.solvers import HEAT_BACKEND, SigmaSpec, heat_solve
 
@@ -566,6 +571,45 @@ class TestGirsanovCheck:
              "--no-timestamp"]
         ) == EXIT_CHECK
 
+    @pytest.mark.parametrize("mutated", [False, True], ids=["dtdx", "ht_weights"])
+    def test_variance_test_catches_ht_weighted_density(self, tmp_path, monkeypatch, mutated):
+        # H_T weighs the wall-adjacent columns by 1.5*dx, the sheet's variance
+        # by dx: at 4x8 the unit sine control's dt*dx norm^2 is 0.80 against
+        # H_T 1.0, so a density whose quadratic term uses the H_T weights
+        # overstates the variance of S by a quarter
+        if mutated:
+            def ht_weighted(dW, v, h, g):
+                return -h * np.sum(v * dW, axis=(-2, -1)) - 0.5 * h * h * ht_dot(v, v, g)
+
+            monkeypatch.setattr(noise, "_log_density", ht_weighted)
+        cfg = write_config(tmp_path, "c.json", {"grid": {"nx": 4, "nt": 8}})
+        out = tmp_path / "run"
+        code = main(["girsanov-check", "--config", cfg, "--out", str(out), "--no-timestamp"])
+        report = json.loads((out / "girsanov_report.json").read_text())
+        assert report["n_sheets"] == DEFAULTS["girsanov"]["n_sheets"]
+        assert report["variance_pass"] is not mutated
+        assert code == (EXIT_CHECK if mutated else EXIT_OK)
+
+    def test_variance_test_false_alarm_rate(self):
+        # the chi-squared test at n = 200 over 300 seeds; each seed's sheets
+        # are drawn as one batch, the law sample_sheet draws from
+        g = Grid(nx=4, nt=4, T=1.0)
+        v = _unit_profile_control(g).values
+        s2 = -2.0 * float(noise._log_density(np.zeros_like(v), v, 1.0, g))
+        n, seeds = 200, range(300)
+        rejected = 0
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            dW = math.sqrt(g.dt * g.dx) * rng.standard_normal((n, g.nt, g.nx - 1))
+            _, p = _variance_test(noise._log_density(dW, v, 1.0, g) + 0.5 * s2, s2)
+            rejected += p < GIRSANOV_P_MIN
+        # the central 99.9% of Binomial(300, 0.27%)
+        pmf = [math.comb(len(seeds), k) * GIRSANOV_P_MIN**k
+               * (1 - GIRSANOV_P_MIN) ** (len(seeds) - k) for k in range(len(seeds) + 1)]
+        cdf = np.cumsum(pmf)
+        lo, hi = int(np.searchsorted(cdf, 0.0005, "right")), int(np.searchsorted(cdf, 0.9995))
+        assert lo <= rejected <= hi, (rejected, lo, hi)
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
@@ -611,6 +655,22 @@ class TestThreads:
             ) == EXIT_OK
             reports.append((out / "girsanov_report.json").read_bytes())
         assert reports[0] == reports[1]
+
+    def test_girsanov_mean_is_the_direct_mean_bitwise(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", self.CFG)
+        out = tmp_path / "x"
+        assert main(
+            ["girsanov-check", "--config", cfg, "--out", str(out), "--no-timestamp"]
+        ) == EXIT_OK
+        report = json.loads((out / "girsanov_report.json").read_text())
+        g = Grid(**self.CFG["grid"])
+        v = _unit_profile_control(g)
+        weights = [
+            math.exp(girsanov_log_density(sample_sheet(g, SeedSpec(0, i)), v, 1.0))
+            for i in range(self.CFG["girsanov"]["n_sheets"])
+        ]
+        assert report["mean"] == float(np.mean(weights))
+        assert report["seed"] == 0
 
     def test_girsanov_check_draws_sheet_zero_once_more(self, tmp_path, monkeypatch):
         from burgerslab import cli
