@@ -9,13 +9,9 @@ file: its SeedSpec reproduces it.
 The Girsanov helpers implement the measure change of the controlled
 dynamics: shifting the sheet by h*v*dt*dx and the log-density
 -h*sum(v dW) - (h^2/2)*dt*dx*sum(v^2) whose exponential has mean one.
-Its stochastic part -h*sum(v dW) is exactly normal, with twice the
-quadratic term as variance, so the sum of its squares over sheets, scaled
-by that variance, is exactly chi-squared; chi2_sf gives that law's tail.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +24,6 @@ __all__ = [
     "sample_sheet",
     "girsanov_shift",
     "girsanov_log_density",
-    "chi2_sf",
 ]
 
 _UINT64_MASK = (1 << 64) - 1
@@ -106,52 +101,3 @@ def girsanov_log_density(w: NoiseSheet, v: Control, h: float) -> float:
     """log dQ/dP for the shift by h*v: -h*sum(v dW) - (h^2/2)*dt*dx*sum(v^2)."""
     same_grid(w.grid, control=v)
     return float(_log_density(w.dW, v.values, h, w.grid))
-
-
-def chi2_sf(x: float, k: int) -> float:
-    """P(X > x) for X chi-squared with k degrees of freedom.
-
-    This is the regularized upper incomplete gamma function Q(k/2, x/2):
-    one minus its power series below x/2 = k/2 + 1, where Q stays above
-    about 0.08, its continued fraction (modified Lentz) above, each summed
-    to double precision (Numerical Recipes, 3rd ed., section 6.2).  The
-    prefactor y^a e^-y / Gamma(a) is formed from logs of size k, so the
-    relative error grows like k times the rounding unit: 3e-12 at k = 6000.
-    """
-    if k < 1:
-        raise ValueError(f"chi2_sf needs k >= 1 degrees of freedom, got {k}")
-    if math.isnan(x):
-        return math.nan
-    if x <= 0.0:
-        return 1.0
-    if x == math.inf:
-        return 0.0
-    a, y = 0.5 * k, 0.5 * x
-    prefactor = math.exp(a * math.log(y) - y - math.lgamma(a))
-    # both expansions converge in O(sqrt(a)) terms; the cap only stops a loop
-    cap = 100 + 20 * math.isqrt(int(a) + 1)
-    if y < a + 1.0:
-        # P(a, y) = prefactor * sum_n y^n / (a (a+1) ... (a+n))
-        term = total = 1.0 / a
-        for n in range(1, cap):
-            term *= y / (a + n)
-            total += term
-            if term < total * 1e-17:
-                break
-        return 1.0 - prefactor * total
-    # Q(a, y) = prefactor / (y+1-a - 1(1-a)/(y+3-a - 2(2-a)/(y+5-a - ...)))
-    tiny = 1e-300
-    b = y + 1.0 - a
-    c, d = 1.0 / tiny, 1.0 / b
-    f = d
-    for n in range(1, cap):
-        an = -n * (n - a)
-        b += 2.0
-        d = an * d + b
-        d = 1.0 / (d if abs(d) > tiny else tiny)
-        c = b + an / c
-        c = c if abs(c) > tiny else tiny
-        f *= d * c
-        if abs(d * c - 1.0) < 1e-16:
-            break
-    return prefactor * f

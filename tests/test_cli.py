@@ -15,9 +15,10 @@ from burgerslab.cli import (
     EXIT_OK,
     EXIT_USAGE,
     GIRSANOV_P_MIN,
+    _chi2_sf,
+    _density_tests,
     _field_to_csv,
     _unit_profile_control,
-    _variance_test,
     main,
     read_field_csv,
 )
@@ -590,6 +591,20 @@ class TestGirsanovCheck:
         assert report["variance_pass"] is not mutated
         assert code == (EXIT_CHECK if mutated else EXIT_OK)
 
+    def test_variance_failure_alone_fails_check(self, tmp_path, monkeypatch):
+        from burgerslab import cli
+
+        # a chi-squared tail of 0 gives p = 0 whatever the sheets
+        monkeypatch.setattr(cli, "_chi2_sf", lambda x, k: 0.0)
+        cfg = write_config(tmp_path, "c.json", {"grid": {"nx": 16, "nt": 32, "T": 0.5},
+                                                "girsanov": {"n_sheets": 200}})
+        out = tmp_path / "run"
+        code = main(["girsanov-check", "--config", cfg, "--out", str(out), "--no-timestamp"])
+        report = json.loads((out / "girsanov_report.json").read_text())
+        assert report["mean_within_3se"] and report["route_pass"]
+        assert report["variance_p_value"] == 0.0 and not report["variance_pass"]
+        assert code == EXIT_CHECK
+
     def test_variance_test_false_alarm_rate(self):
         # the chi-squared test at n = 200 over 300 seeds; each seed's sheets
         # are drawn as one batch, the law sample_sheet draws from
@@ -601,14 +616,39 @@ class TestGirsanovCheck:
         for seed in seeds:
             rng = np.random.default_rng(seed)
             dW = math.sqrt(g.dt * g.dx) * rng.standard_normal((n, g.nt, g.nx - 1))
-            _, p = _variance_test(noise._log_density(dW, v, 1.0, g) + 0.5 * s2, s2)
-            rejected += p < GIRSANOV_P_MIN
-        # the central 99.9% of Binomial(300, 0.27%)
+            tests = _density_tests(noise._log_density(dW, v, 1.0, g), s2)
+            rejected += not tests["variance_pass"]
+        # the central 99.9% of Binomial(300, 0.137%)
         pmf = [math.comb(len(seeds), k) * GIRSANOV_P_MIN**k
                * (1 - GIRSANOV_P_MIN) ** (len(seeds) - k) for k in range(len(seeds) + 1)]
         cdf = np.cumsum(pmf)
         lo, hi = int(np.searchsorted(cdf, 0.0005, "right")), int(np.searchsorted(cdf, 0.9995))
         assert lo <= rejected <= hi, (rejected, lo, hi)
+
+
+class TestChi2Tail:
+    @pytest.mark.parametrize("x", [1e-8, 0.01, 0.5, 1.0, 2.9, 3.0, 3.1, 10.0, 40.0, 200.0])
+    def test_closed_forms(self, x):
+        # k = 1: P(Z^2 > x) = erfc(sqrt(x/2)); k = 2: an exponential with mean 2
+        assert _chi2_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-13)
+        assert _chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-13)
+
+    def test_edges(self):
+        assert _chi2_sf(0.0, 5) == 1.0
+        assert _chi2_sf(-1.0, 5) == 1.0
+        assert _chi2_sf(math.inf, 5) == 0.0
+        assert math.isnan(_chi2_sf(math.nan, 5))
+        with pytest.raises(ValueError):
+            _chi2_sf(1.0, 0)
+
+    @pytest.mark.parametrize("k", [10, 200, 6000, DEFAULTS["girsanov"]["n_sheets"]])
+    @pytest.mark.parametrize("q", [0.001, 0.5, 0.999])
+    def test_matches_scipy(self, k, q):
+        # scipy.stats.chi2 computes sf and ppf with these two; scipy.special
+        # imports in a third of the time scipy.stats takes
+        special = pytest.importorskip("scipy.special")
+        x = 2.0 * special.gammaincinv(k / 2, q)
+        assert _chi2_sf(x, k) == pytest.approx(special.chdtrc(k, x), rel=1e-9)
 
 
 class TestEntryPoint:

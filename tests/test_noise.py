@@ -1,6 +1,4 @@
 """Noise sheets: determinism, distribution, Girsanov algebra."""
-import math
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from burgerslab.grids import read_lattice_csv, write_lattice_csv
 from burgerslab.noise import (
     NoiseSheet,
     SeedSpec,
-    chi2_sf,
     girsanov_log_density,
     girsanov_shift,
     sample_sheet,
@@ -171,33 +168,6 @@ def test_martingale_mean_one_for_wall_adjacent_control():
     mean = float(np.mean(zs))
     se = float(np.std(zs, ddof=1) / np.sqrt(n))
     assert abs(mean - 1.0) <= 3.0 * se, (mean, se)
-
-
-@pytest.mark.parametrize("x", [1e-8, 0.01, 0.5, 1.0, 2.9, 3.0, 3.1, 10.0, 40.0, 200.0])
-def test_chi2_sf_closed_forms(x):
-    # k = 1: P(Z^2 > x) = erfc(sqrt(x/2)); k = 2: an exponential with mean 2
-    assert chi2_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-13)
-    assert chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-13)
-
-
-def test_chi2_sf_edges():
-    assert chi2_sf(0.0, 5) == 1.0
-    assert chi2_sf(-1.0, 5) == 1.0
-    assert chi2_sf(math.inf, 5) == 0.0
-    assert math.isnan(chi2_sf(math.nan, 5))
-    with pytest.raises(ValueError):
-        chi2_sf(1.0, 0)
-
-
-@pytest.mark.parametrize("k", [10, 200, 6000])
-@pytest.mark.parametrize("q", [0.001, 0.5, 0.999])
-def test_chi2_sf_matches_scipy(k, q):
-    # scipy.stats.chi2 computes sf and ppf with these two; scipy.special
-    # imports in a third of the time scipy.stats takes
-    special = pytest.importorskip("scipy.special")
-    x = 2.0 * special.gammaincinv(k / 2, q)
-    assert chi2_sf(x, k) == pytest.approx(special.chdtrc(k, x), rel=1e-9)
-
 
 def test_csv_round_trip(tmp_path):
     # cell data (nt, nx-1), the layout a control is written in
