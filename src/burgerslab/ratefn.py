@@ -33,73 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (
-    Control,
-    Grid,
-    SpaceField,
-    SpaceTimeField,
-    ht_dot,
-    ht_norm,
-    same_grid,
-    sup_t_l2,
-)
-from .solvers import (
-    DEFAULT_SOLVER,
-    SigmaSpec,
-    SolverConfig,
-    _central_difference,
-    _skeleton_frames,
-    heat_factor,
-    heat_solve,
-    solve_deterministic,
-)
-
-
-@dataclass(frozen=True)
-class SkeletonContext:
-    """Frozen ingredients of the linear response map around one base flow.
-
-    Carries the initial data, the grid, the noise coefficient, the
-    precomputed deterministic trajectory, and per-step coefficient arrays
-    so repeated forward/adjoint sweeps share all setup work.
-    """
-
-    u0: SpaceField
-    grid: Grid
-    sigma: SigmaSpec
-    u_det: SpaceTimeField
-    _factor: object  # heat_factor's opaque LDL^T
-    _transport: np.ndarray  # (nt, nx+1): 2 * u_det frame, full grid
-    _forcing: np.ndarray  # (nt, nx-1): sigma(u_det) on interior nodes
-
-    @classmethod
-    def build(
-        cls,
-        u0: SpaceField,
-        g: Grid,
-        sigma: SigmaSpec,
-        cfg: SolverConfig = DEFAULT_SOLVER,
-    ) -> "SkeletonContext":
-        same_grid(g, u0=u0)
-        u_det = solve_deterministic(u0, g, cfg)
-        frames = u_det.frames[:-1]
-        return cls(
-            u0=u0,
-            grid=g,
-            sigma=sigma,
-            u_det=u_det,
-            _factor=heat_factor(g),
-            _transport=2.0 * frames,
-            _forcing=sigma(frames[:, 1:-1]),
-        )
-
-
-def _forward_frames(ctx: SkeletonContext, v_values: np.ndarray) -> np.ndarray:
-    """Response frames 0..nt of the linear map applied to v (the skeleton sweep)."""
-    # heat_solve by this module's name, as in the adjoint: one name, both sweeps
-    return _skeleton_frames(
-        ctx.grid, ctx._factor, ctx._transport, ctx._forcing, v_values, heat_solve
-    )
+from .grids import Control, Grid, SpaceTimeField, ht_dot, ht_norm, same_grid, sup_t_l2
+from .solvers import SkeletonContext, _central_difference, _skeleton_frames, heat_solve
+# solve_deterministic is not called here; perfbench/child.py BOUNDARIES still wraps it
+from .solvers import solve_deterministic
 
 
 def _adjoint_values(ctx: SkeletonContext, field_int: np.ndarray) -> np.ndarray:
@@ -130,7 +67,7 @@ def _adjoint_values(ctx: SkeletonContext, field_int: np.ndarray) -> np.ndarray:
 def apply_forward(v: Control, ctx: SkeletonContext) -> SpaceTimeField:
     """Response field of a control: the zero-noise deviation it forces."""
     same_grid(ctx.grid, v=v)
-    return SpaceTimeField(_forward_frames(ctx, v.values), ctx.grid)
+    return SpaceTimeField(_skeleton_frames(ctx, v.values, heat_solve), ctx.grid)
 
 
 def apply_adjoint(field: SpaceTimeField, ctx: SkeletonContext) -> Control:
@@ -179,15 +116,16 @@ def _field_dot(a: np.ndarray, b: np.ndarray, g: Grid) -> float:
 def _exact_preimage(ctx: SkeletonContext, target: np.ndarray) -> np.ndarray:
     """Control whose response is the target (frames 1..nt, interior), all steps at once.
 
-    Step k of the forward sweep is
-    (I − dt·L) f_{k+1} = f_k + dt·(Dx(2·u_det,k·f_k) + sigma(u_det,k)·v_k),
+    Step k of the forward sweep, the skeleton equation of the solvers
+    module docstring, is
+    (I − dt·L) f_{k+1} = f_k + dt·(Dx(c·u_det,k·f_k) + sigma(u_det,k)·v_k),
     so v_k follows from two consecutive target frames, with the Dirichlet
     Laplacian applied as a tridiagonal matvec.  Where sigma(u_det,k) is 0
     the control has no effect and the least-norm choice v_k = 0 is taken;
     whether the step equation then holds there is left to the forward check.
     """
     g = ctx.grid
-    frames = np.pad(target, ((1, 0), (1, 1)))
+    frames = np.pad(target, _FULL_LATTICE)
     new, old = frames[1:], frames[:-1]
     heat = new[:, 1:-1] - g.dt / g.dx**2 * (new[:, :-2] - 2.0 * new[:, 1:-1] + new[:, 2:])
     div = _central_difference(ctx._transport * old, g.dx)
@@ -207,7 +145,7 @@ def _exact_route(ctx: SkeletonContext, target: np.ndarray, threshold: float):
     roughness = np.sum(np.diff(v, axis=0) ** 2) + np.sum(np.diff(v, axis=1) ** 2)
     if not roughness <= np.sum(v**2):
         return None
-    r = target - _forward_frames(ctx, v)[1:, 1:-1]
+    r = target - _skeleton_frames(ctx, v, heat_solve)[1:, 1:-1]
     residual = sup_t_l2(np.pad(r, _FULL_LATTICE), g)
     if not residual <= threshold:
         return None
@@ -236,7 +174,7 @@ def _cgls(ctx: SkeletonContext, target: np.ndarray, threshold: float, max_iter: 
     p = s.copy()
     gamma = ht_dot(s, s, g)
     for it in range(1, max_iter + 1):
-        q = _forward_frames(ctx, p)[1:, 1:-1]
+        q = _skeleton_frames(ctx, p, heat_solve)[1:, 1:-1]
         denom = _field_dot(q, q, g)
         if denom <= 0.0 or not np.isfinite(denom):
             return v, tuple(history), sup_res, it - 1

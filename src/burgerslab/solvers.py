@@ -19,12 +19,18 @@ the algebra that makes it pathwise-identical to the Girsanov route
 (solve the noise-shifted equation, subtract the deterministic limit,
 rescale); the two routes are cross-checked in the tests.
 
-The skeleton solvers carry the mild-form transport coefficient -2 on
-int int d_yG * w * u0 (equivalently +2*d_x(u0*w) after integration by
-parts).  The fixed-point solver evaluates that mild form in the nx - 1
-sine modes of the interior lattice, where the Dirichlet kernel is
-diagonal, with a Gauss rule in sqrt(t - s) for the history; it shares no
-code with the finite-difference stepping it arbitrates.
+The skeleton is the linear response ubar to a control v around the base
+flow u_det (the deterministic solution from u0), with c = SKELETON_TRANSPORT:
+    d ubar/dt = Lap ubar + c*d_x(u_det*ubar) + sigma(u_det)*v,   ubar(0) = 0,
+and in mild form, G the Dirichlet heat kernel (integration by parts moves
+d_x onto the kernel and flips the sign),
+    ubar(t) = -c int_0^t int d_yG(t-s) u_det*ubar + int_0^t int G(t-s) sigma(u_det)*v.
+_linearise builds the coefficients once per base flow (SkeletonContext);
+solve_skeleton steps the first form, solve_skeleton_fixed_point iterates
+the second in the nx - 1 sine modes of the interior lattice, where the
+Dirichlet kernel is diagonal, with a Gauss rule in sqrt(t - s) for the
+history; it shares no code with the finite-difference stepping it
+arbitrates.
 """
 from __future__ import annotations
 
@@ -45,6 +51,7 @@ __all__ = [
     "InstabilityError",
     "ContractionFailureError",
     "FixedPointResult",
+    "SkeletonContext",
     "solve_deterministic",
     "solve_spde",
     "solve_controlled",
@@ -53,6 +60,10 @@ __all__ = [
 ]
 
 SUP_GUARD = 1e6
+
+# c of the skeleton equation in the module docstring.  The solvers step flux
+# u^2/2, which linearises to c = 1; 2 linearises flux u^2 (ROADMAP item 1).
+SKELETON_TRANSPORT = 2.0
 
 
 class InstabilityError(RuntimeError):
@@ -419,25 +430,67 @@ def solve_controlled(
     return _guarded(_frames(np.zeros(g.nx + 1), g, rhs, heat_factor(g)), g)
 
 
-def _check_skeleton_args(u0: SpaceField, g: Grid, v: Control, u_det: SpaceTimeField) -> None:
-    same_grid(g, u0=u0, v=v, u_det=u_det)
+@dataclass(frozen=True)
+class SkeletonContext:
+    """Frozen ingredients of the skeleton's linear response map around one base flow.
+
+    Carries the initial data, the grid, the noise coefficient, the base
+    flow u_det and the per-step coefficients of the skeleton equation
+    (module docstring), so repeated sweeps share all setup work.  Built
+    only by _linearise.
+    """
+
+    u0: SpaceField
+    grid: Grid
+    sigma: SigmaSpec
+    u_det: SpaceTimeField
+    _factor: object  # heat_factor's opaque LDL^T
+    _transport: np.ndarray  # (nt, nx+1): c*u_det of the skeleton equation, full lattice
+    _forcing: np.ndarray  # (nt, nx-1): sigma(u_det) on interior nodes
+
+    @classmethod
+    def build(
+        cls,
+        u0: SpaceField,
+        g: Grid,
+        sigma: SigmaSpec,
+        cfg: SolverConfig = DEFAULT_SOLVER,
+    ) -> "SkeletonContext":
+        return _linearise(u0, g, sigma, solve_deterministic(u0, g, cfg))
+
+
+def _linearise(
+    u0: SpaceField, g: Grid, sigma: SigmaSpec, u_det: SpaceTimeField
+) -> SkeletonContext:
+    """The skeleton's coefficients at frames 0..nt-1 of u_det, which must start at u0."""
+    same_grid(g, u0=u0, u_det=u_det)
     if not np.array_equal(u_det.frames[0], u0.values):
         raise ValueError("u_det does not start from the supplied initial condition")
+    base = u_det.frames[:-1]
+    return SkeletonContext(
+        u0=u0,
+        grid=g,
+        sigma=sigma,
+        u_det=u_det,
+        _factor=heat_factor(g),
+        _transport=SKELETON_TRANSPORT * base,
+        _forcing=sigma(base[:, 1:-1]),
+    )
 
 
-def _skeleton_frames(g: Grid, factor, transport, forcing, v_values, solve=heat_solve):
-    """Frames of the linear skeleton response to v_values.
+def _skeleton_frames(ctx: SkeletonContext, v_values, solve):
+    """Frames 0..nt of the skeleton equation (module docstring) forced by v_values.
 
-    transport[k] is 2*u_det on the full lattice and forcing[k] is
-    sigma(u_det) on the interior, both at frame k; solve_skeleton and the
-    rate function's forward map share this sweep.
+    solve_skeleton and the rate function's forward map share this sweep;
+    each passes its own heat_solve binding as `solve`.
     """
+    g, transport, forcing = ctx.grid, ctx._transport, ctx._forcing
 
     def rhs(k, ubar):
         div = _central_difference(transport[k] * ubar, g.dx)
         return ubar[1:-1] + g.dt * (div + forcing[k] * v_values[k])
 
-    return _frames(np.zeros(g.nx + 1), g, rhs, factor, solve)
+    return _frames(np.zeros(g.nx + 1), g, rhs, ctx._factor, solve)
 
 
 def solve_skeleton(
@@ -447,17 +500,12 @@ def solve_skeleton(
     sigma: SigmaSpec,
     u_det: SpaceTimeField,
 ) -> SpaceTimeField:
-    """Zero-noise skeleton: linear transport around u_det forced by v.
+    """Zero-noise skeleton: PDE stepping of the skeleton equation (module docstring).
 
-    PDE stepping of  d ubar/dt = Lap ubar + 2*d_x(u_det*ubar) + sigma(u_det)*v,
-    the local form of the mild equation with transport coefficient -2 on
-    int int d_yG * ubar * u_det (integration by parts flips the sign onto
-    the flux).  Linear in v by construction.
+    Linear transport around u_det forced by v; linear in v by construction.
     """
-    _check_skeleton_args(u0, g, v, u_det)
-    base = u_det.frames[:-1]
-    forcing = sigma(base[:, 1:-1])
-    return _guarded(_skeleton_frames(g, heat_factor(g), 2.0 * base, forcing, v.values), g)
+    same_grid(g, u0=u0, v=v)
+    return _guarded(_skeleton_frames(_linearise(u0, g, sigma, u_det), v.values, heat_solve), g)
 
 
 # ------------------------------------------------------- fixed-point solver
@@ -495,17 +543,19 @@ def solve_skeleton_fixed_point(
 ) -> FixedPointResult:
     """Skeleton via the contraction mapping of its mild form.
 
-    Iterates w <- A(w) = -2 iint d_yG w u_det + iint G sigma(u_det) v from
-    w = 0 until the sup_t L2 update drops below cfg.fp_tol.  Each history
-    integral is projected onto the sine modes of _sine_basis (N = nx - 1,
-    set by the grid), mode n weighted by sum_q wr_q e^(-lam_n tau_q) over a
-    32-node Gauss rule in r = sqrt(t_k - s) (the Jacobian 2r cancels the
-    kernel's endpoint singularity), and summed back; w*u_det is linear in
-    time between frames, sigma(u_det)*v is held at each step's left end.
+    Iterates w <- A(w), the right-hand side of the mild form in the module
+    docstring, from w = 0 until the sup_t L2 update drops below cfg.fp_tol.
+    Each history integral is projected onto the sine modes of _sine_basis
+    (N = nx - 1, set by the grid), mode n weighted by sum_q wr_q
+    e^(-lam_n tau_q) over a 32-node Gauss rule in r = sqrt(t_k - s) (the
+    Jacobian 2r cancels the kernel's endpoint singularity), and summed
+    back; w*u_det is linear in time between frames, sigma(u_det)*v is held
+    at each step's left end.
     Raises ContractionFailureError after cfg.fp_max_iter sweeps; on long
     horizons, split [0, T] and concatenate windows instead.
     """
-    _check_skeleton_args(u0, g, v, u_det)
+    same_grid(g, u0=u0, v=v)
+    ctx = _linearise(u0, g, sigma, u_det)
 
     lam, synth, proj_G, proj_dG = _sine_basis(g)
     nodes, wts = gauss_legendre(32)
@@ -526,12 +576,12 @@ def solve_skeleton_fixed_point(
             acc += wr[:, q, None] * np.exp(-np.outer(r[:, q] ** 2, lam)) * hist
         return acc @ synth.T
 
-    b = integrate((sigma(u_det.frames[:-1, 1:-1]) * v.values) @ proj_G, False)
+    b = integrate((ctx._forcing * v.values) @ proj_G, False)
 
     def sweep(w):
         out = np.zeros_like(w)
         prod = (w * u_det.frames)[:, 1:-1] @ proj_dG
-        out[1:, 1:-1] = -2.0 * integrate(prod, True) + b
+        out[1:, 1:-1] = -SKELETON_TRANSPORT * integrate(prod, True) + b
         return out
 
     w_frames = np.zeros((g.nt + 1, g.nx + 1))

@@ -129,3 +129,18 @@ def test_one_gauss_legendre_source():
         for path in Path(burgerslab.__file__).parent.glob("*.py")
     }
     assert {name: n for name, n in counts.items() if n} == {"kernels.py": 1}
+
+
+def test_one_skeleton_linearisation():
+    # every skeleton consumer reads the context solvers._linearise builds and
+    # its one transport constant
+    needles = ("SkeletonContext(", "SKELETON_TRANSPORT =")
+    counts = {
+        (path.name, n): path.read_text().count(n)
+        for path in Path(burgerslab.__file__).parent.glob("*.py")
+        for n in needles
+    }
+    assert {key: c for key, c in counts.items() if c} == {
+        ("solvers.py", "SkeletonContext("): 1,
+        ("solvers.py", "SKELETON_TRANSPORT ="): 1,
+    }
