@@ -83,7 +83,7 @@ DEFAULTS = {
         "importance_scale": 0.5,
     },
     "solver": {"fp_tol": 1e-4, "fp_max_iter": 40},
-    # max_iter bounds CGLS, run only on targets the one-sweep exact route rejects
+    # max_iter bounds CGLS, run only on targets with no exact lattice preimage
     "rate": {"tol": 1e-6, "max_iter": 2000},
     # n_sheets by power against an error delta in the density's quadratic
     # term, the fault this check exists for: it moves the mean weight by

@@ -20,7 +20,9 @@ the algebra that makes it pathwise-identical to the Girsanov route
 rescale); the two routes are cross-checked in the tests.
 
 The skeleton is the linear response ubar to a control v around the base
-flow u_det (the deterministic solution from u0), with c = SKELETON_TRANSPORT:
+flow u_det (the deterministic solution from u0), with c = SKELETON_TRANSPORT.
+c = 1 linearises the flux u^2/2 that the solvers step, so the skeleton is the
+small-noise limit of the sampled paths, and choosing it moves none of them:
     d ubar/dt = Lap ubar + c*d_x(u_det*ubar) + sigma(u_det)*v,   ubar(0) = 0,
 and in mild form, G the Dirichlet heat kernel (integration by parts moves
 d_x onto the kernel and flips the sign),
@@ -61,9 +63,8 @@ __all__ = [
 
 SUP_GUARD = 1e6
 
-# c of the skeleton equation in the module docstring.  The solvers step flux
-# u^2/2, which linearises to c = 1; 2 linearises flux u^2 (ROADMAP item 1).
-SKELETON_TRANSPORT = 2.0
+# c of the skeleton equation, chosen in the module docstring
+SKELETON_TRANSPORT = 1.0
 
 
 class InstabilityError(RuntimeError):

@@ -443,6 +443,22 @@ class TestRate:
         assert result["iterations"] == 1
         assert len(result["residual_history"]) == 2
 
+    def test_simulated_deviation_is_exact(self, tmp_path):
+        # a sampled deviation is rough, and the lattice still inverts it in one sweep
+        cfg = write_config(tmp_path, "c.json", self.CFG)
+        sim, out = tmp_path / "sim", tmp_path / "run"
+        assert main(
+            ["simulate", "--config", cfg, "--out", str(sim), "--no-timestamp"]
+        ) == EXIT_OK
+        assert main(
+            ["rate", "--config", cfg, "--target", str(sim / "deviation.csv"),
+             "--out", str(out), "--no-timestamp"]
+        ) == EXIT_OK
+        result = json.loads((out / "rate_result.json").read_text())
+        assert result["method"] == "exact"
+        assert result["attained"] is True
+        assert result["roughness"] > 1.0
+
     def test_vanishing_sigma_is_exact(self, tmp_path):
         # sigma = 0 on part of u_det's range: the masked preimage attains it
         tab = SigmaSpec.tabulated((-2.0, 0.5, 2.0), (0.0, 0.0, 1.0))

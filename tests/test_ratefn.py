@@ -53,6 +53,15 @@ def vanishing_sigma_ctx(nx, nt):
     return g, SkeletonContext.build(u0, g, sigma)
 
 
+def unattainable_target(g, ctx):
+    """A response with 0.1 added on one cell where sigma(u_det) = 0: the step
+    equation fixes the response there, so the target has no preimage."""
+    frames = apply_forward(smooth_control(g, 11, 0.7), ctx).frames.copy()
+    k, i = np.argwhere(ctx._forcing == 0.0)[0]
+    frames[k + 1, i + 1] += 0.1
+    return SpaceTimeField(frames, g)
+
+
 def random_field(g, seed):
     r = np.random.default_rng(seed)
     frames = np.zeros((g.nt + 1, g.nx + 1))
@@ -175,22 +184,24 @@ class TestRateValue:
         gap = ht_norm(res3.v_star.values - 3.0 * res1.v_star.values, g)
         assert gap <= 1e-6 * ht_norm(3.0 * res1.v_star.values, g)
 
-    def test_noise_target_not_attained(self):
-        # the lattice does not resolve the preimage of white noise: CGLS stalls
+    def test_noise_target_attained_exactly(self):
+        # the lattice map is square: even white noise has an exact preimage
         g, ctx = make_ctx(nx=24, nt=128)
         res = rate_value(random_field(g, 77), ctx, tol=1e-6, max_iter=30)
-        assert not res.attained
-        assert res.residual > 1e-6
-        assert res.method == "cgls"
-        assert res.iterations == 30
+        assert res.attained
+        assert res.residual <= 1e-6
+        assert res.method == "exact"
+        assert res.iterations == 1
+        assert res.roughness > 1.0
         assert np.isfinite(res.value)
 
     def test_fallback_can_be_disabled(self):
         # the fallback is gone for good: no parameter, and no sweep after CGLS
-        g, ctx = make_ctx(nx=24, nt=128)
+        g, ctx = vanishing_sigma_ctx(16, 32)
+        f = unattainable_target(g, ctx)
         with pytest.raises(TypeError):
-            rate_value(random_field(g, 77), ctx, max_iter=30, fallback=False)
-        res = rate_value(random_field(g, 77), ctx, tol=1e-6, max_iter=30)
+            rate_value(f, ctx, max_iter=30, fallback=False)
+        res = rate_value(f, ctx, tol=1e-6, max_iter=30)
         assert not res.attained
         assert not hasattr(res, "tikhonov_lambda")
         assert res.iterations == 30
@@ -228,6 +239,7 @@ class TestRateValue:
             "attained": True,
             "v_star_csv_path": "v.csv",
             "method": "cgls",
+            "roughness": 0.0,
             "residual_history": [0.0],
         }
         assert isinstance(res, RateResult)
@@ -280,10 +292,7 @@ class TestExactRoute:
     def test_unattainable_target_stalls_in_cgls(self):
         # a response is fixed by the step equation where sigma(u_det) = 0
         g, ctx = vanishing_sigma_ctx(16, 32)
-        frames = apply_forward(smooth_control(g, 11, 0.7), ctx).frames.copy()
-        k, i = np.argwhere(ctx._forcing == 0.0)[0]
-        frames[k + 1, i + 1] += 0.1
-        res = rate_value(SpaceTimeField(frames, g), ctx, tol=1e-6, max_iter=200)
+        res = rate_value(unattainable_target(g, ctx), ctx, tol=1e-6, max_iter=200)
         assert res.method == "cgls"
         assert not res.attained
         assert res.iterations == 200
@@ -291,15 +300,16 @@ class TestExactRoute:
         h = res.residual_history
         assert all(b <= a for a, b in zip(h, h[1:]))
 
-    @pytest.mark.parametrize("vanishing_sigma, method", [(False, "cgls"), (True, "cgls")])
+    @pytest.mark.parametrize("vanishing_sigma, method", [(False, "exact"), (True, "cgls")])
     def test_rough_target_method(self, vanishing_sigma, method):
-        # masking where sigma(u_det) = 0 must not let a rough target through
+        # roughness does not decide the route; white noise that breaks the
+        # step equation where sigma(u_det) = 0 has no preimage
         if vanishing_sigma:
             g, ctx = vanishing_sigma_ctx(24, 128)
         else:
             g, ctx = make_ctx(nx=24, nt=128)
         res = rate_value(random_field(g, 77), ctx, tol=1e-6, max_iter=30)
-        assert not res.attained
+        assert res.attained == (method == "exact")
         assert res.method == method
 
     @pytest.mark.parametrize("tol", [np.inf, np.nan])
@@ -332,8 +342,8 @@ class TestResidualNorm:
             return sup_t_l2(u, g)
 
         monkeypatch.setattr(ratefn, "sup_t_l2", recording_sup_t_l2)
-        g, ctx = make_ctx(nx=24, nt=128)
-        f = random_field(g, 77)
+        g, ctx = vanishing_sigma_ctx(16, 32)
+        f = unattainable_target(g, ctx)
         res = rate_value(f, ctx, tol=1e-6, max_iter=30)
         assert res.method == "cgls"
         frames = seen[-1]
