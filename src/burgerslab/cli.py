@@ -19,12 +19,13 @@ exits 3 and a failed check 4.
 
 girsanov-check tests the Girsanov density of the unit sine control at
 h = 1 on girsanov.n_sheets sheets.  On each sheet S = -sum(v dW) is exactly
-N(0, s2), s2 the density's own quadratic term, so the weight is
-exp(S - s2/2).  Two tests decide: the mean weight lies within 3.2 exact
-standard errors sqrt(expm1(s2)/n) of one (reported as mean_within_3se, the
-name perfbench reads), and Q = sum(S^2)/s2 fits its exact chi-squared law
-with n degrees of freedom, two-sided.  Each has size erfc(3.2/sqrt(2)) =
-0.137% for a normal statistic, half that of one 3-se test; the report's
+N(0, s2), s2 = |v|^2_{H_T} the density's own quadratic term (1 up to
+rounding for the unit control), so the weight is exp(S - s2/2).  Two
+tests decide: the mean weight lies within 3.2 exact standard errors
+sqrt(expm1(s2)/n) of one (reported as mean_within_3se, the name perfbench
+reads), and Q = sum(S^2)/s2 fits its exact chi-squared law with n
+degrees of freedom, two-sided.  Each has size erfc(3.2/sqrt(2)) = 0.137%
+for a normal statistic, half that of one 3-se test; the report's
 false_alarm_rate is their sum, and the comment at GIRSANOV_Z gives the
 rate measured at the default n.  The check also compares the controlled
 solver with the route through the shifted noise.

@@ -4,10 +4,12 @@ Everything downstream (noise sheets, solvers, norms, the rate function)
 lives on the lattice defined here: nodes x_j = j/nx, t_k = k*T/nt, fields
 pinned to zero at x = 0 and x = 1.  The lattice's rules live here only:
 `_freeze` validates and freezes every lattice array (noise sheets too),
-`same_grid` checks grid agreement, and the norms are fixed quadratures,
-left rectangles in time: the deviation event's per-frame trapezoid L2 norm
-(`frame_norms`, `sup_t_l2`) and the rate function's H_T inner product on
-interior weights (`ht_dot`, `ht_norm`).
+`same_grid` checks grid agreement, and the norms are fixed quadratures:
+the deviation event's per-frame trapezoid L2 norm (`frame_norms`,
+`sup_t_l2`) and the H_T inner product (`ht_dot`, `ht_norm`), dt*dx per
+interior cell.  H_T is the Cameron-Martin space of the noise sheet, so one
+metric serves the rate function's energy, its adjoint, and the Girsanov
+density's quadratic term.
 
 CSV files share one layout: a header row ('t', x nodes), then one row per
 time (t node, values).  Node data (nt+1, nx+1), a field, lists every node;
@@ -115,17 +117,6 @@ class Grid:
         """Trapezoid weights over all nodes: dx/2 at the walls, dx inside."""
         w = np.full(self.nx + 1, self.dx)
         w[0] = w[-1] = 0.5 * self.dx
-        return w
-
-    def interior_weights(self) -> np.ndarray:
-        """Quadrature weights for interior-node data (controls, noise).
-
-        The wall half-cells are absorbed into the outermost interior
-        columns (3*dx/2 there, dx elsewhere), so the weights sum to 1
-        exactly and a constant control integrates exactly.
-        """
-        w = np.full(self.nx - 1, self.dx)
-        w[0] = w[-1] = 1.5 * self.dx
         return w
 
 
@@ -279,8 +270,12 @@ def sup_t_l2(u: SpaceTimeField | np.ndarray, g: Grid) -> float:
 
 
 def ht_dot(a: np.ndarray, b: np.ndarray, g: Grid) -> float:
-    """H_T inner product of two control arrays: interior weights, left rectangles."""
-    return float(g.dt * np.sum((a * b) @ g.interior_weights()))
+    """H_T inner product of two control arrays.
+
+    The Cameron-Martin norm of the sheet: dt*dx per cell, the variance of
+    one increment.
+    """
+    return float(g.dt * g.dx * np.sum(a * b))
 
 
 def ht_norm(v: Control | np.ndarray, g: Grid) -> float:

@@ -8,7 +8,9 @@ file: its SeedSpec reproduces it.
 
 The Girsanov helpers implement the measure change of the controlled
 dynamics: shifting the sheet by h*v*dt*dx and the log-density
--h*sum(v dW) - (h^2/2)*dt*dx*sum(v^2) whose exponential has mean one.
+-h*sum(v dW) - (h^2/2)*|v|^2_{H_T} whose exponential has mean one.  The
+H_T norm is grids.ht_dot, dt*dx per cell: the Cameron-Martin norm of the
+sheet, the variance of sum(v dW), and the rate function's energy metric.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Control, Grid, _freeze, same_grid
+from .grids import Control, Grid, _freeze, ht_dot, same_grid
 
 __all__ = [
     "SeedSpec",
@@ -86,18 +88,18 @@ def girsanov_shift(w: NoiseSheet, v: Control, h: float) -> NoiseSheet:
 
 
 def _log_density(dW: np.ndarray, v: np.ndarray, h, g: Grid) -> np.ndarray:
-    """-h*sum(v dW) - (h^2/2)*dt*dx*sum(v^2), summed over the last two axes.
+    """-h*sum(v dW) - (h^2/2)*|v|^2_{H_T}, summed over the last two axes.
 
-    Leading axes of dW, v and h broadcast, so a batch of sheets (B, nt, nx-1)
-    or a column of strengths h (E, 1) yields one log-density per row.  The
-    quadratic term is the variance of sum(v dW): dt*dx in every cell.
+    v is one (nt, nx-1) control.  Leading axes of dW and h broadcast, so a
+    batch of sheets (B, nt, nx-1) or a column of strengths h (E, 1) yields
+    one log-density per row.  The quadratic term is ht_dot(v, v), the
+    variance of sum(v dW).
     """
     stoch = np.sum(v * dW, axis=(-2, -1))
-    quad = np.sum(v**2, axis=(-2, -1)) * g.dt * g.dx
-    return -h * stoch - 0.5 * h * h * quad
+    return -h * stoch - 0.5 * h * h * ht_dot(v, v, g)
 
 
 def girsanov_log_density(w: NoiseSheet, v: Control, h: float) -> float:
-    """log dQ/dP for the shift by h*v: -h*sum(v dW) - (h^2/2)*dt*dx*sum(v^2)."""
+    """log dQ/dP for the shift by h*v: -h*sum(v dW) - (h^2/2)*|v|^2_{H_T}."""
     same_grid(w.grid, control=v)
     return float(_log_density(w.dW, v.values, h, w.grid))

@@ -5,9 +5,10 @@ around the deterministic trajectory.  The energy functional of a target
 profile f is the smallest ½ (H_T norm)² over controls whose response equals
 f.  On the lattice the map is square (nt·(nx−1) in and out) and block
 lower-triangular in time, with diagonal blocks (I − dt·L)⁻¹·dt·sigma(u_det,k).
-Where sigma(u_det) vanishes the control has no effect, and since the H_T
-weights are diagonal the least-norm preimage is zero there; elsewhere it is
-unique.
+Controls and responses pair in one inner product, `grids.ht_dot` (dt·dx per
+cell, the noise sheet's own norm), so the adjoint is the plain transpose.
+Where sigma(u_det) vanishes the control has no effect, and since that metric
+is diagonal the least-norm preimage is zero there; elsewhere it is unique.
 
 rate_value takes one of two routes.  The exact route back-substitutes every
 step at once (`_exact_preimage`: one vectorized pass, no time loop, no
@@ -29,22 +30,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Control, Grid, SpaceTimeField, ht_dot, ht_norm, same_grid, sup_t_l2
+from .grids import Control, SpaceTimeField, ht_dot, ht_norm, same_grid, sup_t_l2
 from .solvers import SkeletonContext, _central_difference, _skeleton_frames, heat_solve
 # solve_deterministic is not called here; perfbench/child.py BOUNDARIES still wraps it
 from .solvers import solve_deterministic
 
 
 def _adjoint_values(ctx: SkeletonContext, field_int: np.ndarray) -> np.ndarray:
-    """Weighted adjoint of the forward sweep on frames 1..nt, interior nodes.
+    """Adjoint of the forward sweep on frames 1..nt, interior nodes.
 
-    The Euclidean transpose runs backward in time, in a loop of its own.
-    The centered flux divergence with wall padding is skew-symmetric, so
-    its transpose is its negative; I - dt*L is symmetric, so its inverse
-    transposes to the same LDL^T heat_solve.  The response side pairs with
-    dt*dx (trapezoid on fields vanishing at the walls) and the control side
-    with ht_dot, so the transpose is rescaled per column by dx over the
-    interior weight on return.
+    Both sides pair with ht_dot, so the adjoint is the plain Euclidean
+    transpose; it runs backward in time, in a loop of its own.  The
+    centered flux divergence with wall padding is skew-symmetric, so its
+    transpose is its negative; I - dt*L is symmetric, so its inverse
+    transposes to the same LDL^T heat_solve.
     """
     g = ctx.grid
     out = np.empty((g.nt, g.nx - 1))
@@ -57,7 +56,7 @@ def _adjoint_values(ctx: SkeletonContext, field_int: np.ndarray) -> np.ndarray:
         full[1:-1] = psi
         dpsi = _central_difference(full, g.dx)
         phi = psi - g.dt * ctx._transport[k][1:-1] * dpsi
-    return out * (g.dx / g.interior_weights())
+    return out
 
 
 def apply_forward(v: Control, ctx: SkeletonContext) -> SpaceTimeField:
@@ -67,7 +66,7 @@ def apply_forward(v: Control, ctx: SkeletonContext) -> SpaceTimeField:
 
 
 def apply_adjoint(field: SpaceTimeField, ctx: SkeletonContext) -> Control:
-    """Adjoint of the response map between the weighted inner products.
+    """Adjoint of the response map, both sides paired by ht_dot.
 
     A Control wrapping _adjoint_values on the field's frames 1..nt.
     """
@@ -87,7 +86,7 @@ class RateResult:
     method: str  # route that produced v_star: "exact" or "cgls"
     # (Σ(Δ_t v*)² + Σ(Δ_x v*)²) / Σ v*², 0 for v* = 0: smooth 0.01-0.10, white noise ≈ 4
     roughness: float
-    # L2(dt dx) residual norm per iteration; non-increasing by construction
+    # ht_dot norm of the residual per iteration; non-increasing by construction
     residual_history: tuple = ()
 
     def to_json_dict(self, v_star_csv_path: str = "") -> dict:
@@ -106,10 +105,6 @@ class RateResult:
 # np.pad widths that put interior frames 1..nt back on the full lattice:
 # the zero frame 0 and the zero walls, as sup_t_l2 expects
 _FULL_LATTICE = ((1, 0), (1, 1))
-
-
-def _field_dot(a: np.ndarray, b: np.ndarray, g: Grid) -> float:
-    return float(g.dt * g.dx * np.sum(a * b))
 
 
 def _exact_preimage(ctx: SkeletonContext, target: np.ndarray) -> np.ndarray:
@@ -145,17 +140,17 @@ def _exact_route(ctx: SkeletonContext, target: np.ndarray, threshold: float):
     residual = sup_t_l2(np.pad(r, _FULL_LATTICE), g)
     if not residual <= threshold:
         return None
-    history = tuple(float(np.sqrt(_field_dot(x, x, g))) for x in (target, r))
+    history = tuple(float(np.sqrt(ht_dot(x, x, g))) for x in (target, r))
     return v, history, residual, 1
 
 
 def _cgls(ctx: SkeletonContext, target: np.ndarray, threshold: float, max_iter: int):
-    """Conjugate gradients on the normal equations in the weighted geometry.
+    """Conjugate gradients on the normal equations, paired by ht_dot.
 
     Starting from the zero control keeps every iterate in the range of the
     adjoint, so the limit is the least-norm solution.  Returns (control
     values, global-norm history, sup-in-time residual, iterations); the
-    history records the L2(dt dx) residual norm, the quantity the iteration
+    history records the ht_dot residual norm, the quantity the iteration
     minimizes over nested subspaces, while the stopping rule watches the
     sup-in-time constraint sense.
     """
@@ -163,7 +158,7 @@ def _cgls(ctx: SkeletonContext, target: np.ndarray, threshold: float, max_iter: 
     v = np.zeros((g.nt, g.nx - 1))
     r = target.copy()
     sup_res = sup_t_l2(np.pad(r, _FULL_LATTICE), g)
-    history = [float(np.sqrt(_field_dot(r, r, g)))]
+    history = [float(np.sqrt(ht_dot(r, r, g)))]
     if sup_res <= threshold:
         return v, tuple(history), sup_res, 0
     s = _adjoint_values(ctx, r)
@@ -171,14 +166,14 @@ def _cgls(ctx: SkeletonContext, target: np.ndarray, threshold: float, max_iter: 
     gamma = ht_dot(s, s, g)
     for it in range(1, max_iter + 1):
         q = _skeleton_frames(ctx, p, heat_solve)[1:, 1:-1]
-        denom = _field_dot(q, q, g)
+        denom = ht_dot(q, q, g)
         if denom <= 0.0 or not np.isfinite(denom):
             return v, tuple(history), sup_res, it - 1
         alpha = gamma / denom
         v = v + alpha * p
         r = r - alpha * q
         sup_res = sup_t_l2(np.pad(r, _FULL_LATTICE), g)
-        history.append(float(np.sqrt(_field_dot(r, r, g))))
+        history.append(float(np.sqrt(ht_dot(r, r, g))))
         if sup_res <= threshold:
             return v, tuple(history), sup_res, it
         s = _adjoint_values(ctx, r)

@@ -22,7 +22,7 @@ from burgerslab.cli import (
     main,
     read_field_csv,
 )
-from burgerslab.grids import Control, Grid, SpaceField, SpaceTimeField, ht_dot, ht_norm
+from burgerslab.grids import Control, Grid, SpaceField, SpaceTimeField, ht_norm
 from burgerslab.grids import write_lattice_csv
 from burgerslab.noise import SeedSpec, girsanov_log_density, sample_sheet
 from burgerslab.ratefn import SkeletonContext, apply_forward
@@ -588,17 +588,20 @@ class TestGirsanovCheck:
              "--no-timestamp"]
         ) == EXIT_CHECK
 
-    @pytest.mark.parametrize("mutated", [False, True], ids=["dtdx", "ht_weights"])
-    def test_variance_test_catches_ht_weighted_density(self, tmp_path, monkeypatch, mutated):
-        # H_T weighs the wall-adjacent columns by 1.5*dx, the sheet's variance
-        # by dx: at 4x8 the unit sine control's dt*dx norm^2 is 0.80 against
-        # H_T 1.0, so a density whose quadratic term uses the H_T weights
-        # overstates the variance of S by a quarter
+    @pytest.mark.parametrize("mutated", [False, True], ids=["dtdx", "wall_weights"])
+    def test_variance_test_catches_wall_weighted_density(self, tmp_path, monkeypatch, mutated):
+        # the sheet's variance is dt*dx in every cell; a quadratic term that
+        # weighs the wall-adjacent columns by 1.5*dx reads the unit sine
+        # control's norm^2 as 1.25 at 4x8, so it overstates the variance of
+        # S by a quarter
         if mutated:
-            def ht_weighted(dW, v, h, g):
-                return -h * np.sum(v * dW, axis=(-2, -1)) - 0.5 * h * h * ht_dot(v, v, g)
+            def wall_weighted(dW, v, h, g):
+                w = np.full(g.nx - 1, g.dx)
+                w[0] = w[-1] = 1.5 * g.dx
+                quad = g.dt * np.sum((v * v) @ w)
+                return -h * np.sum(v * dW, axis=(-2, -1)) - 0.5 * h * h * quad
 
-            monkeypatch.setattr(noise, "_log_density", ht_weighted)
+            monkeypatch.setattr(noise, "_log_density", wall_weighted)
         cfg = write_config(tmp_path, "c.json", {"grid": {"nx": 4, "nt": 8}})
         out = tmp_path / "run"
         code = main(["girsanov-check", "--config", cfg, "--out", str(out), "--no-timestamp"])

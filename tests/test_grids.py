@@ -231,19 +231,20 @@ def test_ht_zero():
     assert ht_norm(Control.zero(g), g) == 0.0
 
 
-def test_ht_constant_control_gives_sqrt_T():
+def test_ht_constant_control_weighs_every_interior_cell_dt_dx():
+    # dt*dx for each of the nt*(nx-1) cells: T*(nx-1)*dx
     for T in (1.0, 2.5, 0.3):
         g = Grid(nx=16, nt=32, T=T)
         v = Control(np.ones((g.nt, g.nx - 1)), g)
-        assert abs(ht_norm(v, g) - np.sqrt(T)) < 1e-12
+        assert abs(ht_norm(v, g) - np.sqrt(T * (g.nx - 1) * g.dx)) < 1e-12
 
 
 def test_ht_sin_profile():
-    # analytic: integral of sin^2(pi x) over the unit square = 1/2; the
-    # boundary-extended interior weights add pi^2*dx^3 (~1e-6 at nx=200).
-    g = Grid(nx=200, nt=64, T=1.0)
-    v = Control.sample(g, lambda t, x: np.sin(np.pi * x) + 0.0 * t)
-    assert abs(ht_norm(v, g) - 1.0 / np.sqrt(2.0)) < 1e-4
+    # sum_{j=1}^{nx-1} sin^2(pi j/nx)*dx = 1/2 exactly on the lattice
+    for nx in (4, 5, 16, 64, 200):
+        g = Grid(nx=nx, nt=64, T=1.0)
+        v = Control.sample(g, lambda t, x: np.sin(np.pi * x) + 0.0 * t)
+        assert abs(ht_norm(v, g) - 1.0 / np.sqrt(2.0)) < 1e-14
 
 
 def test_ht_homogeneity_and_triangle():
@@ -262,7 +263,7 @@ def test_ht_homogeneity_and_triangle():
 
 def test_ht_accepts_plain_arrays():
     g = Grid(nx=8, nt=8, T=1.0)
-    assert abs(ht_norm(np.ones((8, 7)), g) - 1.0) < 1e-12
+    assert abs(ht_norm(np.ones((8, 7)), g) - np.sqrt(g.T * (g.nx - 1) * g.dx)) < 1e-12
     with pytest.raises(DimensionError):
         ht_norm(np.ones((8, 8)), g)
 

@@ -12,6 +12,7 @@ from burgerslab.grids import (
     sup_t_l2,
 )
 from burgerslab import ratefn
+from burgerslab.noise import NoiseSheet, girsanov_log_density
 from burgerslab.ratefn import (
     RateResult,
     SkeletonContext,
@@ -113,7 +114,7 @@ class TestApplyAdjoint:
 
     @pytest.mark.parametrize("seed", [2, 3, 4])
     def test_pairing_identity(self, seed):
-        # <A v, g>_{L2(dt dx)} == <v, A* g>_{H_T} on random data
+        # <A v, g> == <v, A* g>, both sides paired by dt*dx per cell, on random data
         g, ctx = make_ctx()
         r = np.random.default_rng(seed)
         v = Control(r.normal(size=(g.nt, g.nx - 1)), g)
@@ -121,7 +122,7 @@ class TestApplyAdjoint:
         av = apply_forward(v, ctx)
         atg = apply_adjoint(gf, ctx)
         lhs = g.dt * g.dx * np.sum(av.frames[1:, 1:-1] * gf.frames[1:, 1:-1])
-        rhs = g.dt * np.sum((v.values * atg.values) @ g.interior_weights())
+        rhs = g.dt * g.dx * np.sum(v.values * atg.values)
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
     def test_linearity(self):
@@ -286,7 +287,7 @@ class TestExactRoute:
         res = rate_value(f, ctx, tol=1e-6, max_iter=100)
         assert res.attained
         assert res.method == "exact"
-        assert res.value == pytest.approx(0.0860, rel=1e-3)
+        assert res.value == pytest.approx(0.0862, rel=1e-3)
 
     @pytest.mark.filterwarnings("error")
     def test_unattainable_target_stalls_in_cgls(self):
@@ -317,6 +318,19 @@ class TestExactRoute:
         g, ctx = make_ctx(nx=16, nt=32)
         with pytest.raises(ValueError):
             rate_value(SpaceTimeField.zero(g), ctx, tol=tol)
+
+
+class TestOneMetric:
+    @pytest.mark.parametrize("nx, nt", [(4, 8), (16, 16), (64, 256)])
+    def test_rate_energy_is_girsanov_quadratic_term(self, nx, nt):
+        # the weak-convergence approach rests on it: the energy of a control
+        # is the quadratic term of the Girsanov exponent of the shift by it
+        g, ctx = make_ctx(nx=nx, nt=nt, T=1.0)
+        vals = np.tile(np.sin(np.pi * g.x_interior()), (g.nt, 1))
+        v = Control(vals / ht_norm(vals, g), g)
+        zero_sheet = NoiseSheet(np.zeros((g.nt, g.nx - 1)), seed=0, grid=g)
+        energy = rate_value(apply_forward(v, ctx), ctx).value
+        assert energy == pytest.approx(-girsanov_log_density(zero_sheet, v, 1.0), rel=1e-12)
 
 
 class TestResidualNorm:
