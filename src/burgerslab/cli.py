@@ -18,9 +18,12 @@ unwritable output, exits 2 with a message naming it; numerical failure
 exits 3 and a failed check 4.
 
 girsanov-check tests the Girsanov density of the unit sine control at
-h = 1 on girsanov.n_sheets sheets.  On each sheet S = -sum(v dW) is exactly
-N(0, s2), s2 = |v|^2_{H_T} the density's own quadratic term (1 up to
-rounding for the unit control), so the weight is exp(S - s2/2).  Two
+h = 1 on girsanov.n_sheets sheets.  Each worker thread draws its chunk's
+sheets one at a time into one buffer and reads each at once
+(noise._log_densities); only sheet 0, which the route check also drives,
+is kept.  On each sheet S = -sum(v dW) is exactly N(0, s2), s2 =
+|v|^2_{H_T} the density's own quadratic term (1 up to rounding for the
+unit control), so the weight is exp(S - s2/2).  Two
 tests decide: the mean weight lies within 3.2 exact standard errors
 sqrt(expm1(s2)/n) of one (reported as mean_within_3se, the name perfbench
 reads), and Q = sum(S^2)/s2 fits its exact chi-squared law with n
@@ -47,7 +50,8 @@ from .deviations import McConfig, ScalingSchedule, _map_chunks, deviation_field,
 from .grids import Control, Grid, SpaceField, SpaceTimeField, ht_norm, sup_t_l2
 from .grids import frame_norms, read_lattice_csv, write_lattice_csv
 from .kernels import verify_kernel_estimates
-from .noise import NoiseSheet, SeedSpec, girsanov_log_density, girsanov_shift, sample_sheet
+from .noise import NoiseSheet, SeedSpec, _log_densities, girsanov_log_density
+from .noise import girsanov_shift, sample_sheet
 from .ratefn import SkeletonContext, rate_value
 from .solvers import (
     HEAT_BACKEND,
@@ -555,12 +559,10 @@ def cmd_girsanov_check(rc: RunConfig) -> int:
     zero_sheet = NoiseSheet(np.zeros_like(w0.dW), seed=0, grid=g)
     s2 = -2.0 * girsanov_log_density(zero_sheet, v, 1.0)
 
-    # log-density per independent sheet, h = 1; a worker holds one sheet at a time
+    # log-density per independent sheet, h = 1; each worker streams its
+    # chunk's sheets through one buffer and keeps none of them
     def chunk_log_densities(indices):
-        return [
-            girsanov_log_density(sample_sheet(g, SeedSpec(seed, i)), v, 1.0)
-            for i in indices
-        ]
+        return _log_densities(g, seed, indices, v, 1.0)
 
     n = rc.girsanov_n_sheets
     log_dens = np.concatenate(_map_chunks(chunk_log_densities, n, rc.mc.threads))

@@ -732,16 +732,15 @@ class TestThreads:
         assert report["seed"] == 0
 
     def test_girsanov_check_draws_sheet_zero_once_more(self, tmp_path, monkeypatch):
-        from burgerslab import cli
-
         keys = []
-        real = cli.sample_sheet
+        real = noise._fill_sheet
 
-        def counted(g, s):
+        def counted(g, s, out):
             keys.append(s.path_index)
-            return real(g, s)
+            return real(g, s, out)
 
-        monkeypatch.setattr(cli, "sample_sheet", counted)
+        # every draw, kept sheet or streamed, goes through noise._fill_sheet
+        monkeypatch.setattr(noise, "_fill_sheet", counted)
         cfg = write_config(tmp_path, "c.json", self.CFG)
         assert main(
             ["girsanov-check", "--config", cfg, "--out", str(tmp_path / "x"),
@@ -750,3 +749,26 @@ class TestThreads:
         # the martingale mean reads sheets 0..n-1; sheet 0 is drawn once
         # more and serves both the zero-control probe and the route check
         assert sorted(keys) == [0] + list(range(150))
+
+    def test_girsanov_check_non_finite_sheet_fails_the_check(self, tmp_path, monkeypatch):
+        # the streamed sheets are not scanned; a NaN must reach the tests
+        # and surface as a failed check, not a crash or a pass
+        real = noise._fill_sheet
+
+        def poisoned(g, s, out):
+            key = real(g, s, out)
+            if s.path_index == 7:
+                out[3, 2] = np.nan
+            return key
+
+        monkeypatch.setattr(noise, "_fill_sheet", poisoned)
+        cfg = write_config(tmp_path, "c.json", self.CFG)
+        out = tmp_path / "x"
+        assert main(
+            ["girsanov-check", "--config", cfg, "--out", str(out),
+             "--threads", "2", "--no-timestamp"]
+        ) == EXIT_CHECK
+        report = json.loads((out / "girsanov_report.json").read_text())
+        assert math.isnan(report["mean"])
+        assert report["mean_within_3se"] is False
+        assert report["variance_pass"] is False

@@ -7,6 +7,8 @@ from burgerslab.grids import read_lattice_csv, write_lattice_csv
 from burgerslab.noise import (
     NoiseSheet,
     SeedSpec,
+    _fill_sheet,
+    _log_densities,
     girsanov_log_density,
     girsanov_shift,
     sample_sheet,
@@ -115,6 +117,37 @@ def test_log_density_trivial_cases():
 def _unit_ht_control(g, profile):
     v = Control.sample(g, profile)
     return Control(v.values / ht_norm(v, g), g)
+
+
+@pytest.mark.parametrize("nx,nt", [(4, 8), (16, 32), (64, 256)])
+def test_fill_sheet_is_sample_sheet_bitwise(nx, nt):
+    # every entry of the buffer is drawn over; the key is the sheet's seed
+    g = Grid(nx=nx, nt=nt, T=1.0)
+    for i in (0, 3, 1000):
+        buf = np.full((g.nt, g.nx - 1), np.nan)
+        key = _fill_sheet(g, SeedSpec(2718, i), buf)
+        w = sample_sheet(g, SeedSpec(2718, i))
+        assert np.array_equal(buf, w.dW)
+        assert key == w.seed
+
+
+@pytest.mark.parametrize(
+    "nx,nt,indices",
+    [(4, 8, range(40)), (16, 32, range(40)), (64, 256, [0, 1, 7, 150, 6699])],
+)
+@pytest.mark.parametrize("h", [0.0, 1.0, 1.7])
+def test_streamed_log_densities_are_girsanov_log_density_bitwise(nx, nt, indices, h):
+    g = Grid(nx=nx, nt=nt, T=1.0)
+    v = _unit_ht_control(g, lambda t, x: np.sin(np.pi * x) * (1.0 + t))
+    streamed = _log_densities(g, 303, indices, v, h)
+    direct = [girsanov_log_density(sample_sheet(g, SeedSpec(303, i)), v, h) for i in indices]
+    assert streamed.tolist() == direct
+
+
+def test_streamed_log_densities_check_the_grid():
+    g = Grid(nx=16, nt=16)
+    with pytest.raises(DimensionError):
+        _log_densities(g, 5, range(3), Control.zero(Grid(nx=16, nt=8)), 1.0)
 
 
 def test_exponential_martingale_mean_one():

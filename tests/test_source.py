@@ -146,3 +146,13 @@ def test_one_skeleton_linearisation():
         ("solvers.py", "SkeletonContext("): 1,
         ("solvers.py", "SKELETON_TRANSPORT ="): 1,
     }
+
+
+def test_one_seed_to_sheet_path():
+    # seeds become numbers only in noise.py, through SeedSpec and _fill_sheet
+    needles = ("default_rng(", "standard_normal(", "SeedSequence(")
+    found = {
+        path.name: [n for n in needles if n in path.read_text()]
+        for path in Path(burgerslab.__file__).parent.glob("*.py")
+    }
+    assert {name: n for name, n in found.items() if n} == {"noise.py": list(needles)}
