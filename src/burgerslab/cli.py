@@ -556,8 +556,7 @@ def cmd_girsanov_check(rc: RunConfig) -> int:
     zero_mean = float(math.exp(girsanov_log_density(w0, Control.zero(g), 1.0)))
 
     # the density's quadratic term, read off the zero sheet: log-density -s2/2
-    zero_sheet = NoiseSheet(np.zeros_like(w0.dW), seed=0, grid=g)
-    s2 = -2.0 * girsanov_log_density(zero_sheet, v, 1.0)
+    s2 = -2.0 * girsanov_log_density(NoiseSheet(np.zeros_like(w0.dW), seed=0, grid=g), v, 1.0)
 
     # log-density per independent sheet, h = 1; each worker streams its
     # chunk's sheets through one buffer and keeps none of them
@@ -568,19 +567,19 @@ def cmd_girsanov_check(rc: RunConfig) -> int:
     log_dens = np.concatenate(_map_chunks(chunk_log_densities, n, rc.mc.threads))
     tests = _density_tests(log_dens, s2)
 
-    # the controlled solver against the shifted-noise route
+    # the controlled solver against the shifted-noise route; the zero and
+    # shifted sheets are temporaries, so neither stays live to the report
     eps = rc.girsanov_eps
     h = rc.schedule.h(eps)
-    direct = solve_controlled(
-        rc.u0, g, eps, rc.schedule, rc.sigma, v, w0, rc.solver
-    )
-    shifted = girsanov_shift(w0, v, h)
     u_det = solve_deterministic(rc.u0, g, rc.solver)
     via = deviation_field(
-        solve_spde(rc.u0, g, eps, rc.sigma, shifted, rc.solver),
+        solve_spde(rc.u0, g, eps, rc.sigma, girsanov_shift(w0, v, h), rc.solver),
         u_det,
         rc.schedule,
         eps,
+    )
+    direct = solve_controlled(
+        rc.u0, g, eps, rc.schedule, rc.sigma, v, w0, rc.solver, u_det=u_det
     )
     gap = sup_t_l2(direct.frames - via.frames, g)
     route_pass = gap <= rc.girsanov_route_tol

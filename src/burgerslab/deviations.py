@@ -4,11 +4,13 @@ Every Monte Carlo pass runs through one chunk driver, `_map_chunks`: fixed
 CHUNK_SIZE chunks of path indices on a thread pool, results in chunk order.
 Each chunk is a pure function of (master_seed, path indices), so a run is
 reproducible bit-for-bit whatever the number of worker threads.  A chunk
-draws its sheets once and steps every eps in one lockstep batch through the
-solvers' stepping engine (rows eps-major, each sheet broadcast over eps); a
-running max|u| per row applies the sup-norm guard.  The eps that fall back
-to importance sampling share a second batch of the same shape, each row
-block driven by the sheet plus that eps's Girsanov shift.
+steps every eps in one lockstep batch through the solvers' stepping engine
+(rows eps-major, each sheet broadcast over eps); a running max|u| per row
+applies the sup-norm guard.  The plain pass draws SHEET_BLOCK_ROWS steps of
+noise at a time, so a chunk holds one block plus the lockstep buffers.  The
+eps that fall back to importance sampling share a second batch of the same
+shape, each row block driven by the sheet plus that eps's Girsanov shift;
+that pass draws whole sheets, which the density reads.
 """
 from __future__ import annotations
 
@@ -19,15 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Control, Grid, SpaceField, SpaceTimeField, frame_norms, same_grid, sup_t_l2
-from .noise import SeedSpec, _log_density, sample_sheet
+from .grids import Control, Grid, SpaceField, SpaceTimeField, norms_from_squares, same_grid
+from .grids import sup_t_l2
+# sample_sheet is unused; perfbench/child.py BOUNDARIES wraps it
+from .noise import _log_density, _sheet_blocks, sample_sheet
 from .solvers import (
     DEFAULT_SOLVER,
     SUP_GUARD,
     SigmaSpec,
     SolverConfig,
     _march,
-    flux_divergence,
     heat_factor,
     heat_solve,
     solve_deterministic,
@@ -47,6 +50,8 @@ __all__ = [
 # Chunking is part of the reproducibility contract: results are identical
 # for any worker count because chunk boundaries never move.
 CHUNK_SIZE = 64
+# noise steps per block of the plain pass, whatever nt is
+SHEET_BLOCK_ROWS = 32
 MAX_FAILED_FRACTION = 0.01
 MIN_IMPORTANCE_HITS = 10
 
@@ -253,13 +258,6 @@ def _map_chunks(fn, n_paths: int, threads: int) -> list:
         return list(pool.map(fn, chunks))
 
 
-def _gather_sheets(g: Grid, master_seed: int, indices) -> np.ndarray:
-    dWs = np.empty((len(indices), g.nt, g.nx - 1))
-    for i, p in enumerate(indices):
-        dWs[i] = sample_sheet(g, SeedSpec(master_seed, p)).dW
-    return dWs
-
-
 def _run_paths_chunk(
     u0_vals: np.ndarray,
     g: Grid,
@@ -274,7 +272,9 @@ def _run_paths_chunk(
 
     Rows are eps-major.  increments(k) gives the noise increments of step k,
     broadcastable to (len(eps_values), B, nx-1): a (B, nx-1) sheet slice is
-    shared by every eps without a copy.
+    shared by every eps without a copy.  Steps come in order, so increments
+    may read a block drawn ahead.  The right-hand side and the reductions
+    write into per-chunk buffers; U**2 is formed once per state.
     Returns (sup_u, sup_diff, alive), each (len(eps_values), B): per-path
     sup_t of the solution's L2 norm, sup_t of ||u - u_det||_2 (unscaled),
     and the sup-norm guard.  The arithmetic per path matches solve_spde
@@ -287,22 +287,37 @@ def _run_paths_chunk(
     """
     E = len(eps_values)
     sqrt_eps = np.sqrt(np.asarray(eps_values, dtype=float))[:, None, None]
-
-    def rhs(k, U):
-        sig = sigma(U[:, 1:-1]).reshape(E, B, -1)
-        noise = (sqrt_eps * sig * increments(k) / g.dx).reshape(E * B, -1)
-        return U[:, 1:-1] + g.dt * flux_divergence(U, g.dx) + noise
-
     U = np.tile(u0_vals, (E * B, 1))
+    sq = U**2  # of the state the next rhs reads
+    half_sq = np.empty_like(U)
+    work = np.empty_like(U)
+    out = np.empty((E * B, g.nx - 1))
+    row = np.empty(E * B)
+
+    # solvers.solve_spde's right-hand side, operation for operation
+    def rhs(k, U):
+        noise = sigma(U[:, 1:-1]).reshape(E, B, -1)  # a fresh array
+        np.multiply(sqrt_eps, noise, out=noise)
+        np.multiply(noise, increments(k), out=noise)
+        np.divide(noise, g.dx, out=noise)
+        np.multiply(0.5, sq, out=half_sq)
+        np.subtract(half_sq[:, 2:], half_sq[:, :-2], out=out)
+        np.divide(out, 2.0 * g.dx, out=out)
+        np.multiply(g.dt, out, out=out)
+        np.add(U[:, 1:-1], out, out=out)
+        return np.add(out, noise.reshape(E * B, -1), out=out)
+
     peak = np.zeros(E * B)
-    sup_u = frame_norms(U, g)
+    sup_u = norms_from_squares(sq, g)
     sup_diff = np.zeros(E * B)
     with np.errstate(over="ignore", invalid="ignore"):
         # heat_solve under this module's name: a wrapper on it sees every step
         for n, U in _march(factor, U, g.nt, rhs, heat_solve):
-            np.maximum(peak, np.abs(U).max(axis=1), out=peak)
-            np.maximum(sup_u, frame_norms(U, g), out=sup_u)
-            np.maximum(sup_diff, frame_norms(U - udet_frames[n], g), out=sup_diff)
+            np.maximum(peak, np.abs(U, out=work).max(axis=1, out=row), out=peak)
+            np.square(U, out=sq)
+            np.maximum(sup_u, norms_from_squares(sq, g, out=row), out=sup_u)
+            np.square(np.subtract(U, udet_frames[n], out=work), out=work)
+            np.maximum(sup_diff, norms_from_squares(work, g, out=row), out=sup_diff)
     return sup_u.reshape(E, B), sup_diff.reshape(E, B), (peak <= SUP_GUARD).reshape(E, B)
 
 
@@ -327,8 +342,8 @@ def _importance_pass(
     expectation, while tilting to it makes roughly half the paths cross
     with bounded weights.  Each path is reweighted by the exponential
     martingale evaluated on the unshifted sheet, which keeps the estimator
-    unbiased.  As in the plain pass, a chunk draws its sheets once and
-    steps every eps in one batch; row block e adds eps e's shift per step.
+    unbiased.  A chunk draws its sheets whole and steps every eps in one
+    batch; row block e adds eps e's shift per step.
     Returns one (p_hat, ci_low, ci_high, failed_fraction) per eps, where a
     path fails if it blows up or its weight is not finite; none at all when
     the skeleton response is identically zero (sigma vanishes along u_det),
@@ -346,10 +361,12 @@ def _importance_pass(
     shifts = h_vals[:, :, None] * v_vals * (g.dt * g.dx)  # (E, nt, nx-1)
 
     def chunk_weights(indices):
-        dWs = _gather_sheets(g, mc.master_seed, indices)
+        dWs = next(_sheet_blocks(g, mc.master_seed, indices, g.nt))
+        shifted = np.empty((len(eps_values), len(indices), g.nx - 1))
         _, sup_diff, alive = _run_paths_chunk(
             u0.values, g, eps_values, sigma, len(indices),
-            lambda k: dWs[:, k, :] + shifts[:, None, k, :], u_det.frames, factor,
+            lambda k: np.add(dWs[:, k, :], shifts[:, None, k, :], out=shifted),
+            u_det.frames, factor,
         )
         hit = (sup_diff / a_vals > mc.threshold) & alive
         logw = _log_density(dWs, v_vals, h_vals, g)  # (E, B)
@@ -396,10 +413,17 @@ def mc_run(
     factor = heat_factor(g)
 
     def chunk_stats(indices):
-        dWs = _gather_sheets(g, mc.master_seed, indices)
+        blocks = _sheet_blocks(g, mc.master_seed, indices, SHEET_BLOCK_ROWS)
+        block = None
+
+        def increments(k):
+            nonlocal block
+            if k % SHEET_BLOCK_ROWS == 0:
+                block = next(blocks)
+            return block[:, k % SHEET_BLOCK_ROWS]
+
         return _run_paths_chunk(
-            u0.values, g, mc.eps_grid, sigma, len(indices),
-            lambda k: dWs[:, k, :], u_det.frames, factor,
+            u0.values, g, mc.eps_grid, sigma, len(indices), increments, u_det.frames, factor,
         )
 
     parts = _map_chunks(chunk_stats, mc.n_paths, mc.threads)

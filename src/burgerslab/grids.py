@@ -34,6 +34,7 @@ __all__ = [
     "read_lattice_csv",
     "same_grid",
     "frame_norms",
+    "norms_from_squares",
     "l2_norm",
     "sup_t_l2",
     "ht_dot",
@@ -249,7 +250,12 @@ def _lattice_array(x, shape: tuple) -> np.ndarray:
 
 def frame_norms(frames: np.ndarray, g: Grid) -> np.ndarray:
     """Trapezoid L2 norm of each row of node data (..., nx+1)."""
-    return np.sqrt(frames**2 @ g.space_weights())
+    return norms_from_squares(frames**2, g)
+
+
+def norms_from_squares(squares: np.ndarray, g: Grid, out=None) -> np.ndarray:
+    """frame_norms of the rows whose squares are given, into out if supplied."""
+    return np.sqrt(np.matmul(squares, g.space_weights(), out=out), out=out)
 
 
 def l2_norm(f: SpaceField, g: Grid) -> float:

@@ -4,9 +4,9 @@ A noise sheet holds the nt x (nx-1) matrix of independent N(0, dt*dx)
 increments driving one solver path.  Streams are pure functions of
 (master_seed, path_index), so Monte Carlo runs are reproducible no matter
 how paths are scheduled across workers, and a sheet is never written to a
-file: its SeedSpec reproduces it.  One primitive, _fill_sheet, turns a
-SeedSpec into numbers, drawing into memory the caller owns: sample_sheet
-draws into a fresh array, and _log_densities refills one buffer.
+file: its SeedSpec reproduces it.  _draw alone turns a generator into
+increments: _fill_sheet draws a sheet into memory the caller owns, and
+_sheet_blocks draws many paths in step blocks through one buffer.
 
 The Girsanov helpers implement the measure change of the controlled
 dynamics: shifting the sheet by h*v*dt*dx and the log-density
@@ -72,16 +72,37 @@ class NoiseSheet:
         object.__setattr__(self, "seed", int(self.seed))
 
 
+def _draw(rng: np.random.Generator, g: Grid, out: np.ndarray) -> None:
+    """rng's next N(0, dt*dx) draws into out, a C-ordered float64 array."""
+    rng.standard_normal(out=out)
+    out *= np.sqrt(g.dt * g.dx)
+
+
 def _fill_sheet(g: Grid, s: SeedSpec, out: np.ndarray) -> int:
     """Draw path s's i.i.d. N(0, dt*dx) increments into out; return the stream key.
 
     out is a C-ordered (nt, nx-1) float64 array the caller owns; every entry
-    is overwritten.  The only place a SeedSpec becomes numbers.
+    is overwritten.
     """
     key = s.stream_key()
-    np.random.default_rng(key).standard_normal(out=out)
-    out *= np.sqrt(g.dt * g.dx)
+    _draw(np.random.default_rng(key), g, out)
     return key
+
+
+def _sheet_blocks(g: Grid, master_seed: int, indices, rows: int):
+    """Sheets of SeedSpec(master_seed, i), i in indices, as (B, rows, nx-1) step blocks.
+
+    Each block is a view of one buffer, overwritten by the next; the last is shorter
+    when rows does not divide nt.  A path's generator runs on across blocks,
+    so they concatenate to its sample_sheet bit for bit.
+    """
+    rngs = [np.random.default_rng(SeedSpec(master_seed, i).stream_key()) for i in indices]
+    buf = np.empty((len(rngs), min(rows, g.nt), g.nx - 1))
+    for start in range(0, g.nt, rows):
+        block = buf[:, : min(rows, g.nt - start)]
+        for rng, out in zip(rngs, block):
+            _draw(rng, g, out)
+        yield block
 
 
 def sample_sheet(g: Grid, s: SeedSpec) -> NoiseSheet:

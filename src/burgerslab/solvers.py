@@ -323,16 +323,16 @@ def flux_divergence(u_full: np.ndarray, dx: float) -> np.ndarray:
 def _march(factor, state: np.ndarray, nt: int, rhs, solve=heat_solve):
     """Semi-implicit steps k = 0..nt-1 from `state`; yields (k + 1, u^{k+1}).
 
-    The state is (nx+1,) or (B, nx+1) on the full lattice.  rhs(k, u) gives
-    the interior right-hand side, solve(factor, rhs) the new interior; the
-    walls stay zero and each yielded state is a fresh array.  No guard.
-    Other modules pass their own heat_solve binding as `solve`.
+    The state is (nx+1,) or (B, nx+1) on the full lattice, zero at the
+    walls.  rhs(k, u) gives the interior right-hand side, solve(factor, rhs)
+    the new interior; each yielded state is the engine's one buffer,
+    overwritten by the next step.  No guard.  Other modules pass their own
+    heat_solve binding as `solve`.
     """
+    u = np.array(state, dtype=np.float64)
     for k in range(nt):
-        interior = solve(factor, rhs(k, state).T).T
-        state = np.zeros(state.shape)
-        state[..., 1:-1] = interior
-        yield k + 1, state
+        u[..., 1:-1] = solve(factor, rhs(k, u).T).T
+        yield k + 1, u
 
 
 def _frames(u0_vals: np.ndarray, g: Grid, rhs, factor, solve=heat_solve) -> np.ndarray:
@@ -353,6 +353,13 @@ def _guarded(frames: np.ndarray, g: Grid) -> SpaceTimeField:
         step = int(bad[0]) + 1
         raise InstabilityError(step, step * g.dt, float(sups[bad[0]]))
     return SpaceTimeField(frames, g)
+
+
+def _check_base(u0: SpaceField, g: Grid, u_det: SpaceTimeField) -> None:
+    """DimensionError or ValueError unless u_det lives on g and starts at u0."""
+    same_grid(g, u0=u0, u_det=u_det)
+    if not np.array_equal(u_det.frames[0], u0.values):
+        raise ValueError("u_det does not start from the supplied initial condition")
 
 
 def solve_deterministic(
@@ -397,12 +404,15 @@ def solve_controlled(
     v: Control,
     w: NoiseSheet,
     cfg: SolverConfig = DEFAULT_SOLVER,
+    *,
+    u_det: SpaceTimeField | None = None,
 ) -> SpaceTimeField:
     """Deviation field of the noise-plus-control dynamics, stepped directly.
 
     `schedule` supplies the deviation scale a(eps) and noise-vs-scale ratio
     h(eps) = a(eps)/sqrt(eps) (any object with those two methods works; the
-    deviations module provides ScalingSchedule).
+    deviations module provides ScalingSchedule).  u_det, the base flow, is
+    built when absent.
 
     The recursion is the exact algebraic difference of the shifted-noise
     solver and the deterministic solver, rescaled by a(eps):
@@ -420,7 +430,10 @@ def solve_controlled(
         raise ValueError(f"eps must be positive, got {eps}")
     a_val = float(schedule.a(eps))
     h_val = float(schedule.h(eps))
-    udet = solve_deterministic(u0, g, cfg).frames
+    if u_det is None:
+        u_det = solve_deterministic(u0, g, cfg)
+    _check_base(u0, g, u_det)
+    udet = u_det.frames
 
     def rhs(k, ubar):
         div = _central_difference(udet[k] * ubar + 0.5 * a_val * ubar**2, g.dx)
@@ -464,9 +477,7 @@ def _linearise(
     u0: SpaceField, g: Grid, sigma: SigmaSpec, u_det: SpaceTimeField
 ) -> SkeletonContext:
     """The skeleton's coefficients at frames 0..nt-1 of u_det, which must start at u0."""
-    same_grid(g, u0=u0, u_det=u_det)
-    if not np.array_equal(u_det.frames[0], u0.values):
-        raise ValueError("u_det does not start from the supplied initial condition")
+    _check_base(u0, g, u_det)
     base = u_det.frames[:-1]
     return SkeletonContext(
         u0=u0,

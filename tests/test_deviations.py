@@ -1,11 +1,15 @@
 """Tests for scaling schedules, deviation fields, and Monte Carlo statistics."""
+import copy
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from burgerslab.deviations import (
+    CHUNK_SIZE,
     DeviationStats,
     McConfig,
     ScalingSchedule,
@@ -449,13 +453,13 @@ class TestChunkedPasses:
         from burgerslab import deviations
 
         keys = []
-        real = deviations.sample_sheet
+        real = deviations._sheet_blocks
 
-        def counted(g, s):
-            keys.append(s.path_index)
-            return real(g, s)
+        def counted(g, master_seed, indices, rows):
+            keys.extend(indices)
+            return real(g, master_seed, indices, rows)
 
-        monkeypatch.setattr(deviations, "sample_sheet", counted)
+        monkeypatch.setattr(deviations, "_sheet_blocks", counted)
         stats = self._stats(32, 64, 128)
         assert [r.method for r in stats.records] == ["importance"] * 4
         # one plain pass and one tilted pass shared by all four eps
@@ -477,3 +481,46 @@ class TestChunkedPasses:
         ]
         assert '"importance"' in texts[0]
         assert texts[0] == texts[1]
+
+    # sha256 of the sorted-key JSON of mc_run's stats, recorded with the
+    # whole-sheet route (each chunk's sheets drawn at once, a fresh state
+    # array per step); numpy 2.4, x86-64 Linux
+    KNOWN_DIGESTS = {
+        False: "be9d3a831987232e3e5c3d6b544a58e5ee4b48570a435683f05cc9e82fb8e726",
+        True: "eb0d765c89d06e55e09ddcd342ec3ea5a229a0325f579d5d7386ebaa5e86df78",
+    }
+
+    @pytest.mark.parametrize("use_importance", [False, True])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stats_json_known_answer(self, threads, use_importance):
+        # 50 steps end on a short noise block; 80 paths leave a partial chunk;
+        # with importance on, the second eps takes the tilted pass
+        g = Grid(nx=16, nt=50, T=0.5)
+        mc = McConfig(
+            eps_grid=(1e-2, 2.5e-3), n_paths=80, threshold=0.15, master_seed=11,
+            use_importance=use_importance, threads=threads,
+        )
+        stats = mc_run(
+            SpaceField.sample(g, SIN), g, SigmaSpec.cosine(1.0),
+            ScalingSchedule.moderate(0.25), mc,
+        )
+        methods = [r.method for r in stats.records]
+        assert methods == ["plain", "importance" if use_importance else "plain"]
+        text = json.dumps(stats.to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.KNOWN_DIGESTS[use_importance]
+
+    def test_default_grid_memory_is_bounded(self):
+        # the plain pass holds a block of noise steps, not a chunk's whole
+        # sheets: CHUNK_SIZE * nt * (nx-1) floats are 8.3 MB at 64x256
+        from burgerslab.cli import DEFAULTS, validate_config
+
+        rc = validate_config(copy.deepcopy(DEFAULTS), threads=1, timestamp=False)
+        whole_sheets = CHUNK_SIZE * rc.grid.nt * (rc.grid.nx - 1) * 8
+        tracemalloc.start()
+        try:
+            mc_run(rc.u0, rc.grid, rc.sigma, rc.schedule, rc.mc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rc.grid.nx, rc.grid.nt, rc.mc.use_importance) == (64, 256, False)
+        assert peak < whole_sheets / 2

@@ -9,6 +9,7 @@ from burgerslab.noise import (
     SeedSpec,
     _fill_sheet,
     _log_densities,
+    _sheet_blocks,
     girsanov_log_density,
     girsanov_shift,
     sample_sheet,
@@ -129,6 +130,28 @@ def test_fill_sheet_is_sample_sheet_bitwise(nx, nt):
         w = sample_sheet(g, SeedSpec(2718, i))
         assert np.array_equal(buf, w.dW)
         assert key == w.seed
+
+
+@pytest.mark.parametrize("nx,nt", [(16, 250), (64, 256)])
+@pytest.mark.parametrize("rows", [1, 7, 32, "nt"])
+def test_sheet_blocks_concatenate_to_sample_sheet_bitwise(nx, nt, rows):
+    # nt = 250 is a multiple of none of 7 and 32: the last block is shorter
+    g = Grid(nx=nx, nt=nt, T=1.0)
+    rows = g.nt if rows == "nt" else rows
+    indices = [0, 5, 64, 1000]
+    blocks = [b.copy() for b in _sheet_blocks(g, 2718, indices, rows)]
+    assert [b.shape for b in blocks[:-1]] == [(len(indices), rows, g.nx - 1)] * (len(blocks) - 1)
+    assert blocks[-1].shape[1] == g.nt - rows * (len(blocks) - 1) > 0
+    sheets = np.concatenate(blocks, axis=1)
+    for row, i in zip(sheets, indices):
+        assert np.array_equal(row, sample_sheet(g, SeedSpec(2718, i)).dW)
+
+
+def test_sheet_blocks_refill_one_buffer():
+    g = Grid(nx=8, nt=20)
+    blocks = _sheet_blocks(g, 1, range(3), 8)
+    first = next(blocks)
+    assert all(np.shares_memory(first, b) for b in blocks)
 
 
 @pytest.mark.parametrize(

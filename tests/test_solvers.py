@@ -431,6 +431,21 @@ class TestControlled:
         with pytest.raises(ValueError):
             solve_controlled(u0, g, 0.0, ScalingSchedule.clt(), sig, v, w)
 
+    def test_supplied_base_flow_is_the_built_one(self):
+        g, u0, sig, w, v = self._setup()
+        sched = ScalingSchedule.moderate(0.25)
+        built = solve_controlled(u0, g, 1e-3, sched, sig, v, w)
+        given = solve_controlled(u0, g, 1e-3, sched, sig, v, w, u_det=solve_deterministic(u0, g))
+        assert np.array_equal(built.frames, given.frames)
+        # the base flow must start from u0 and live on g
+        with pytest.raises(ValueError):
+            solve_controlled(u0, g, 1e-3, sched, sig, v, w,
+                             u_det=solve_deterministic(sin_field(g, 0.5), g))
+        g2 = Grid(nx=32, nt=256, T=0.5)
+        with pytest.raises(DimensionError):
+            solve_controlled(u0, g, 1e-3, sched, sig, v, w,
+                             u_det=solve_deterministic(sin_field(g2), g2))
+
 
 # --------------------------------------------------------- skeleton solver
 
