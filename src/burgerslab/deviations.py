@@ -18,6 +18,7 @@ import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .solvers import (
     SigmaSpec,
     SolverConfig,
     _march,
-    heat_factor,
     heat_solve,
     solve_deterministic,
     solve_skeleton,
@@ -266,7 +266,6 @@ def _run_paths_chunk(
     B: int,
     increments,
     udet_frames: np.ndarray,
-    factor,
 ) -> tuple:
     """Step every (eps, path) pair of a chunk of B paths in one lockstep batch.
 
@@ -279,11 +278,8 @@ def _run_paths_chunk(
     sup_t of the solution's L2 norm, sup_t of ||u - u_det||_2 (unscaled),
     and the sup-norm guard.  The arithmetic per path matches solve_spde
     bit for bit: every other operation is elementwise or per row, and
-    heat_solve (LAPACK ?pttrs from numpy's OpenBLAS, or the same recurrence
-    in Python where that is absent) runs each right-hand-side column
-    through the same scalar recurrence, never mixing columns or blocking by
-    batch width; the LAPACK call releases the GIL, so pool workers' solves
-    overlap.
+    heat_solve runs each right-hand-side column through the same scalar
+    recurrence, whatever the batch width.
     """
     E = len(eps_values)
     sqrt_eps = np.sqrt(np.asarray(eps_values, dtype=float))[:, None, None]
@@ -312,7 +308,7 @@ def _run_paths_chunk(
     sup_diff = np.zeros(E * B)
     with np.errstate(over="ignore", invalid="ignore"):
         # heat_solve under this module's name: a wrapper on it sees every step
-        for n, U in _march(factor, U, g.nt, rhs, heat_solve):
+        for n, U in _march(g, U, rhs, heat_solve):
             np.maximum(peak, np.abs(U, out=work).max(axis=1, out=row), out=peak)
             np.square(U, out=sq)
             np.maximum(sup_u, norms_from_squares(sq, g, out=row), out=sup_u)
@@ -329,7 +325,6 @@ def _importance_pass(
     sched: ScalingSchedule,
     mc: McConfig,
     u_det: SpaceTimeField,
-    factor,
 ) -> list:
     """Estimate deviation probabilities under Girsanov-shifted measures.
 
@@ -366,7 +361,7 @@ def _importance_pass(
         _, sup_diff, alive = _run_paths_chunk(
             u0.values, g, eps_values, sigma, len(indices),
             lambda k: np.add(dWs[:, k, :], shifts[:, None, k, :], out=shifted),
-            u_det.frames, factor,
+            u_det.frames,
         )
         hit = (sup_diff / a_vals > mc.threshold) & alive
         logw = _log_density(dWs, v_vals, h_vals, g)  # (E, B)
@@ -410,7 +405,6 @@ def mc_run(
     """
     same_grid(g, u0=u0)
     u_det = solve_deterministic(u0, g, cfg)
-    factor = heat_factor(g)
 
     def chunk_stats(indices):
         blocks = _sheet_blocks(g, mc.master_seed, indices, SHEET_BLOCK_ROWS)
@@ -423,37 +417,35 @@ def mc_run(
             return block[:, k % SHEET_BLOCK_ROWS]
 
         return _run_paths_chunk(
-            u0.values, g, mc.eps_grid, sigma, len(indices), increments, u_det.frames, factor,
+            u0.values, g, mc.eps_grid, sigma, len(indices), increments, u_det.frames,
         )
 
     parts = _map_chunks(chunk_stats, mc.n_paths, mc.threads)
     # (E, n_paths) per statistic, paths merged in chunk order
     sup_u_all, sup_diff_all, alive_all = (np.concatenate(p, axis=1) for p in zip(*parts))
 
-    estimates = []  # (p_hat, ci_low, ci_high, failed_fraction) per eps
-    tilted = []
-    for e, (eps, sup_diff, alive) in enumerate(zip(mc.eps_grid, sup_diff_all, alive_all)):
-        n_ok = int(alive.sum())
-        hits = int(np.sum(sup_diff[alive] / sched.a(eps) > mc.threshold))
-        p_hat = hits / n_ok if n_ok else 0.0
-        estimates.append((p_hat, *wilson_interval(hits, n_ok), 1.0 - n_ok / mc.n_paths))
-        if mc.use_importance and hits < MIN_IMPORTANCE_HITS:
-            tilted.append(e)
-    if tilted:
-        tilted_eps = tuple(mc.eps_grid[e] for e in tilted)
-        passes = _importance_pass(u0, g, tilted_eps, sigma, sched, mc, u_det, factor)
-        tilted = tilted if passes else []
-        for e, (p_hat, ci_low, ci_high, failed) in zip(tilted, passes):
-            estimates[e] = (p_hat, ci_low, ci_high, max(failed, estimates[e][3]))
+    a_vals = np.array([sched.a(eps) for eps in mc.eps_grid])[:, None]
+    hits_all = np.sum((sup_diff_all / a_vals > mc.threshold) & alive_all, axis=1)
+    tilted = {}  # eps -> (p_hat, ci_low, ci_high, failed_fraction) of the tilted pass
+    if mc.use_importance:
+        low = tuple(compress(mc.eps_grid, hits_all < MIN_IMPORTANCE_HITS))
+        if low:
+            tilted = dict(zip(low, _importance_pass(u0, g, low, sigma, sched, mc, u_det)))
 
     def moments(x):
         return tuple((q, float(np.mean(x**q)) if x.size else np.nan) for q in mc.moment_orders)
 
     records = []
-    for e, (eps, sup_u, sup_diff, alive) in enumerate(
-        zip(mc.eps_grid, sup_u_all, sup_diff_all, alive_all)
+    for eps, hits, sup_u, sup_diff, alive in zip(
+        mc.eps_grid, hits_all.tolist(), sup_u_all, sup_diff_all, alive_all
     ):
-        p_hat, ci_low, ci_high, failed_fraction = estimates[e]
+        n_ok = int(alive.sum())
+        p_hat = hits / n_ok if n_ok else 0.0
+        ci_low, ci_high = wilson_interval(hits, n_ok)
+        failed_fraction = 1.0 - n_ok / mc.n_paths
+        if eps in tilted:
+            p_hat, ci_low, ci_high, failed = tilted[eps]
+            failed_fraction = max(failed, failed_fraction)
         speed = -math.log(p_hat) / sched.h(eps) ** 2 if 0.0 < p_hat < 1.0 else math.nan
         records.append(
             EpsRecord(
@@ -467,7 +459,7 @@ def mc_run(
                 failed_fraction=failed_fraction,
                 n_paths=mc.n_paths,
                 valid=failed_fraction <= MAX_FAILED_FRACTION,
-                method="importance" if e in tilted else "plain",
+                method="importance" if eps in tilted else "plain",
             )
         )
     return DeviationStats(records=tuple(records), threshold=mc.threshold, schedule=sched)

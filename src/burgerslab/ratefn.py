@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Control, SpaceTimeField, ht_dot, ht_norm, same_grid, sup_t_l2
-from .solvers import SkeletonContext, _central_difference, _skeleton_frames, heat_solve
+from .solvers import SkeletonContext, _central_difference, _march, _skeleton_frames, heat_solve
 # solve_deterministic is not called here; perfbench/child.py BOUNDARIES still wraps it
 from .solvers import solve_deterministic
 
@@ -40,22 +40,22 @@ def _adjoint_values(ctx: SkeletonContext, field_int: np.ndarray) -> np.ndarray:
     """Adjoint of the forward sweep on frames 1..nt, interior nodes.
 
     Both sides pair with ht_dot, so the adjoint is the plain Euclidean
-    transpose; it runs backward in time, in a loop of its own.  The
-    centered flux divergence with wall padding is skew-symmetric, so its
-    transpose is its negative; I - dt*L is symmetric, so its inverse
-    transposes to the same LDL^T heat_solve.
+    transpose: the solvers' stepping engine runs it backward in time from
+    psi_nt = 0, step k solving (I - dt*L) psi_k = psi_{k+1}
+    - dt*c*u_det,k+1*Dx psi_{k+1} + f_k.  The centered flux divergence with
+    wall padding is skew-symmetric, so its transpose is its negative;
+    I - dt*L is symmetric, so its inverse transposes to the same heat solve.
     """
-    g = ctx.grid
+    g, transport = ctx.grid, ctx._transport
     out = np.empty((g.nt, g.nx - 1))
-    phi = np.zeros(g.nx - 1)
-    for k in range(g.nt - 1, -1, -1):
-        phi = phi + field_int[k]
-        psi = heat_solve(ctx._factor, phi)
-        out[k] = g.dt * ctx._forcing[k] * psi
-        full = np.zeros(g.nx + 1)
-        full[1:-1] = psi
-        dpsi = _central_difference(full, g.dx)
-        phi = psi - g.dt * ctx._transport[k][1:-1] * dpsi
+
+    def rhs(j, psi):  # march step j is time step k = nt - 1 - j, psi is psi_{k+1}
+        k = g.nt - 1 - j
+        dpsi = _central_difference(psi, g.dx)
+        return psi[1:-1] - g.dt * transport[k + 1][1:-1] * dpsi + field_int[k]
+
+    for n, psi in _march(g, np.zeros(g.nx + 1), rhs, heat_solve):
+        out[g.nt - n] = g.dt * ctx._forcing[g.nt - n] * psi[1:-1]
     return out
 
 
@@ -122,7 +122,7 @@ def _exact_preimage(ctx: SkeletonContext, target: np.ndarray) -> np.ndarray:
     frames = np.pad(target, _FULL_LATTICE)
     new, old = frames[1:], frames[:-1]
     heat = new[:, 1:-1] - g.dt / g.dx**2 * (new[:, :-2] - 2.0 * new[:, 1:-1] + new[:, 2:])
-    div = _central_difference(ctx._transport * old, g.dx)
+    div = _central_difference(ctx._transport[:-1] * old, g.dx)
     step = heat - old[:, 1:-1] - g.dt * div
     with np.errstate(over="ignore"):
         return np.divide(

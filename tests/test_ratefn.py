@@ -1,4 +1,6 @@
 """Tests for the least-norm control energy solver."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,25 @@ def random_field(g, seed):
     return SpaceTimeField(frames, g)
 
 
+def assert_matches_stepping_solver(g, ctx):
+    v = smooth_control(g, 1, 0.8)
+    fwd = apply_forward(v, ctx)
+    ref = solve_skeleton(ctx.u0, g, v, ctx.sigma, ctx.u_det)
+    assert np.array_equal(fwd.frames, ref.frames)
+
+
+def assert_pairing_identity(g, ctx, seed):
+    # <A v, g> == <v, A* g>, both sides paired by dt*dx per cell, on random data
+    r = np.random.default_rng(seed)
+    v = Control(r.normal(size=(g.nt, g.nx - 1)), g)
+    gf = random_field(g, seed + 100)
+    av = apply_forward(v, ctx)
+    atg = apply_adjoint(gf, ctx)
+    lhs = g.dt * g.dx * np.sum(av.frames[1:, 1:-1] * gf.frames[1:, 1:-1])
+    rhs = g.dt * g.dx * np.sum(v.values * atg.values)
+    assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+
 # ------------------------------------------------------------ forward map
 
 
@@ -80,11 +101,11 @@ class TestApplyForward:
         assert np.array_equal(out.frames, np.zeros_like(out.frames))
 
     def test_matches_stepping_solver_bitwise(self):
-        g, ctx = make_ctx()
-        v = smooth_control(g, 1, 0.8)
-        fwd = apply_forward(v, ctx)
-        ref = solve_skeleton(ctx.u0, g, v, ctx.sigma, ctx.u_det)
-        assert np.array_equal(fwd.frames, ref.frames)
+        assert_matches_stepping_solver(*make_ctx())
+
+    def test_matches_stepping_solver_bitwise_at_transport_config(self, transport_config):
+        g, u0, sigma = transport_config
+        assert_matches_stepping_solver(g, SkeletonContext.build(u0, g, sigma))
 
     def test_additivity(self):
         g, ctx = make_ctx()
@@ -114,16 +135,14 @@ class TestApplyAdjoint:
 
     @pytest.mark.parametrize("seed", [2, 3, 4])
     def test_pairing_identity(self, seed):
-        # <A v, g> == <v, A* g>, both sides paired by dt*dx per cell, on random data
-        g, ctx = make_ctx()
-        r = np.random.default_rng(seed)
-        v = Control(r.normal(size=(g.nt, g.nx - 1)), g)
-        gf = random_field(g, seed + 100)
-        av = apply_forward(v, ctx)
-        atg = apply_adjoint(gf, ctx)
-        lhs = g.dt * g.dx * np.sum(av.frames[1:, 1:-1] * gf.frames[1:, 1:-1])
-        rhs = g.dt * g.dx * np.sum(v.values * atg.values)
-        assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+        assert_pairing_identity(*make_ctx(), seed)
+
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_pairing_identity_at_transport_config(self, transport_config, seed):
+        # u_det falls to 0.36 of its start here, so the backward sweep reading
+        # a transport row one step off breaks the identity
+        g, u0, sigma = transport_config
+        assert_pairing_identity(g, SkeletonContext.build(u0, g, sigma), seed)
 
     def test_linearity(self):
         g, ctx = make_ctx()
@@ -300,6 +319,20 @@ class TestExactRoute:
         assert np.isfinite(res.value)
         h = res.residual_history
         assert all(b <= a for a, b in zip(h, h[1:]))
+
+    def test_cgls_known_answer(self):
+        # CGLS is the only caller of the adjoint sweep: pin its bits, recorded
+        # with the hand-written backward loop; numpy 2.4, x86-64 Linux
+        g, ctx = vanishing_sigma_ctx(16, 32)
+        res = rate_value(unattainable_target(g, ctx), ctx, max_iter=60)
+        assert res.method == "cgls"
+        assert res.iterations == 60
+        assert not res.attained
+        assert res.value == 18.988156614435205
+        assert res.residual == 0.024638455651269004
+        assert hashlib.sha256(res.v_star.values.tobytes()).hexdigest() == (
+            "937e35badcbe9e4689409551a6356c25042226481bfaa412cd9263c697517211"
+        )
 
     @pytest.mark.parametrize("vanishing_sigma, method", [(False, "exact"), (True, "cgls")])
     def test_rough_target_method(self, vanishing_sigma, method):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import TRANSPORT_AMPLITUDE, TRANSPORT_GRID
 
 from burgerslab.grids import (
     Control,
@@ -597,11 +598,11 @@ class TestSineSeriesMild:
 
 # ------------------------------------------- the skeleton as small-noise limit
 
-# the default config, and a transport-dominated one: a short horizon with
-# large data, whose base flow also crosses a zero of the cosine sigma
+# the default config, and the transport-dominated one of conftest, whose
+# base flow also crosses a zero of the cosine sigma
 SMALL_NOISE_CONFIGS = [
     pytest.param(Grid(nx=64, nt=256, T=1.0), 1.0, id="64x256-T1-amp1"),
-    pytest.param(Grid(nx=32, nt=256, T=0.1), 5.0, id="32x256-T0.1-amp5"),
+    pytest.param(TRANSPORT_GRID, TRANSPORT_AMPLITUDE, id="32x256-T0.1-amp5"),
 ]
 MODERATE = ScalingSchedule.moderate(0.25)
 

@@ -76,6 +76,37 @@ def test_one_heat_factorisation():
     assert banded == []
 
 
+class _CallSites(ast.NodeVisitor):
+    """(name, enclosing function) of every call of a name in `names`, bare or as an attribute."""
+
+    def __init__(self, names):
+        self.names, self.scope, self.found = names, [], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name in self.names:
+            self.found.append((name, ".".join(self.scope)))
+        self.generic_visit(node)
+
+
+def test_one_heat_engine():
+    # every implicit heat step runs through solvers._march, the one place that
+    # looks up the cached factor; other modules only pass heat_solve as `solve`
+    found = []
+    for path in sorted(Path(burgerslab.__file__).parent.glob("*.py")):
+        sites = _CallSites({"heat_factor", "heat_solve"})
+        sites.visit(ast.parse(path.read_text(), filename=str(path)))
+        found += [(path.name, *site) for site in sites.found]
+    assert found == [("solvers.py", "heat_factor", "_march")]
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(burgerslab.__file__).parent.parent)
     code = "import sys, burgerslab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -149,7 +180,8 @@ def test_one_skeleton_linearisation():
 
 
 def test_one_seed_to_sheet_path():
-    # seeds become numbers only in noise.py, through SeedSpec and _fill_sheet
+    # seeds become numbers only in noise.py: SeedSpec keys each path's generator,
+    # which _fill_sheet and _sheet_blocks build and _draw reads
     needles = ("default_rng(", "standard_normal(", "SeedSequence(")
     found = {
         path.name: [n for n in needles if n in path.read_text()]
