@@ -18,8 +18,9 @@ unwritable output, exits 2 with a message naming it; numerical failure
 exits 3 and a failed check 4.
 
 girsanov-check tests the Girsanov density of the unit sine control at
-h = 1 on girsanov.n_sheets sheets.  Each worker thread draws its chunk's
-sheets one at a time into one buffer and reads each at once
+h = 1 on girsanov.n_sheets sheets.  Each worker thread hashes its chunk's
+seeds in one vectorised pass (noise._stream_words), then draws the sheets
+one at a time into one buffer and reads each at once
 (noise._log_densities); only sheet 0, which the route check also drives,
 is kept.  On each sheet S = -sum(v dW) is exactly N(0, s2), s2 =
 |v|^2_{H_T} the density's own quadratic term (1 up to rounding for the

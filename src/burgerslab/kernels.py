@@ -58,11 +58,25 @@ def _check_t(t) -> np.ndarray:
     return t_arr
 
 
+# float64 exp is +0.0 below -1075*log(2) = -745.1332...; numpy's exp is
+# several times slower on arguments below about -708 than on moderate ones,
+# and the arguments below the floor need not be evaluated at all
+_EXP_FLOOR = -745.2
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """np.exp(x) bit for bit, with the arguments below _EXP_FLOOR set to +0.0 unevaluated.
+
+    NaN is not below the floor, so it is evaluated and stays NaN.
+    """
+    return np.exp(x, out=np.zeros_like(x), where=~(x < _EXP_FLOOR))
+
+
 def _spectral_G(t, x, y, n_terms, deriv=False):
     """Sine series; t, x, y broadcastable arrays (series axis appended)."""
     n = np.arange(1, n_terms + 1, dtype=float)
     npi = n * np.pi
-    decay = np.exp(-np.multiply.outer(t, npi**2))
+    decay = _exp(-np.multiply.outer(t, npi**2))
     sx = np.sin(np.multiply.outer(x, npi))
     if deriv:
         sy = np.cos(np.multiply.outer(y, npi)) * npi
@@ -78,8 +92,8 @@ def _image_G(t, x, y, n_terms, deriv=False):
     z2 = np.subtract.outer(np.asarray(x + y, dtype=float), n)
     t4 = 4.0 * np.asarray(t, dtype=float)[..., None]
     pref = 1.0 / np.sqrt(np.pi * t4)
-    p1 = pref * np.exp(-z1**2 / t4)
-    p2 = pref * np.exp(-z2**2 / t4)
+    p1 = pref * _exp(-z1**2 / t4)
+    p2 = pref * _exp(-z2**2 / t4)
     if deriv:
         # d/dy of p(x-y-2n) is +(z1/2t) p(z1); of p(x+y-2n) is -(z2/2t) p(z2)
         return np.sum((2.0 * z1 / t4) * p1 + (2.0 * z2 / t4) * p2, axis=-1)
@@ -90,7 +104,7 @@ def _spectral_mass(t, y, n_terms):
     """Term-wise x-integral of the sine series: only odd modes carry mass."""
     n = np.arange(1, n_terms + 1, dtype=float)
     npi = n[n % 2 == 1] * np.pi
-    decay = np.exp(-np.multiply.outer(t, npi**2))
+    decay = _exp(-np.multiply.outer(t, npi**2))
     sy = np.sin(np.multiply.outer(y, npi))
     return np.sum(decay * sy * (4.0 / npi), axis=-1)
 

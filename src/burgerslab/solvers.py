@@ -50,7 +50,7 @@ import numpy as np
 
 from .grids import Control, Grid, SpaceField, SpaceTimeField, same_grid, sup_t_l2
 # eval_G and eval_dG_dy are not called here; perfbench/child.py BOUNDARIES still wraps them
-from .kernels import eval_G, eval_dG_dy, gauss_legendre
+from .kernels import _exp, eval_G, eval_dG_dy, gauss_legendre
 from .noise import NoiseSheet
 
 __all__ = [
@@ -592,7 +592,7 @@ def solve_skeleton_fixed_point(
             if interpolate:
                 th = theta[:, q, None]
                 hist = (1.0 - th) * hist + th * coeffs[m[:, q] + 1]
-            acc += wr[:, q, None] * np.exp(-np.outer(r[:, q] ** 2, lam)) * hist
+            acc += wr[:, q, None] * _exp(-np.outer(r[:, q] ** 2, lam)) * hist
         return acc @ synth.T
 
     b = integrate((ctx._forcing * v.values) @ proj_G, False)

@@ -733,14 +733,14 @@ class TestThreads:
 
     def test_girsanov_check_draws_sheet_zero_once_more(self, tmp_path, monkeypatch):
         keys = []
-        real = noise._fill_sheet
+        real = noise._fill_sheets
 
-        def counted(g, s, out):
-            keys.append(s.path_index)
-            return real(g, s, out)
+        def counted(g, master_seed, indices, out):
+            keys.extend(indices)
+            return real(g, master_seed, indices, out)
 
-        # every draw, kept sheet or streamed, goes through noise._fill_sheet
-        monkeypatch.setattr(noise, "_fill_sheet", counted)
+        # every draw, kept sheet or streamed, goes through noise._fill_sheets
+        monkeypatch.setattr(noise, "_fill_sheets", counted)
         cfg = write_config(tmp_path, "c.json", self.CFG)
         assert main(
             ["girsanov-check", "--config", cfg, "--out", str(tmp_path / "x"),
@@ -753,15 +753,15 @@ class TestThreads:
     def test_girsanov_check_non_finite_sheet_fails_the_check(self, tmp_path, monkeypatch):
         # the streamed sheets are not scanned; a NaN must reach the tests
         # and surface as a failed check, not a crash or a pass
-        real = noise._fill_sheet
+        real = noise._fill_sheets
 
-        def poisoned(g, s, out):
-            key = real(g, s, out)
-            if s.path_index == 7:
-                out[3, 2] = np.nan
-            return key
+        def poisoned(g, master_seed, indices, out):
+            for i, key in zip(indices, real(g, master_seed, indices, out)):
+                if i == 7:
+                    out[3, 2] = np.nan
+                yield key
 
-        monkeypatch.setattr(noise, "_fill_sheet", poisoned)
+        monkeypatch.setattr(noise, "_fill_sheets", poisoned)
         cfg = write_config(tmp_path, "c.json", self.CFG)
         out = tmp_path / "x"
         assert main(

@@ -14,6 +14,7 @@ from burgerslab.kernels import (
     SWITCH_TIME,
     EstimateReport,
     KernelDomainError,
+    _exp,
     _grad_lbeta,
     _image_G,
     _spectral_G,
@@ -33,6 +34,22 @@ def spectral(t, x, y, deriv=False):
 def image(t, x, y, deriv=False):
     """The image sum alone, 50 images a side, at every t."""
     return _image_G(*np.broadcast_arrays(t, x, y), 50, deriv)
+
+
+def test_exp_is_numpy_exp_bitwise():
+    # a sweep over [-1e6, 700] in three shapes, the specials, and the floor's
+    # neighbours: skipping the arguments below the floor changes no bit
+    f = kernels._EXP_FLOOR
+    sweep = np.concatenate([
+        -np.geomspace(1e6, 1e-3, 40001), [0.0, -0.0], np.linspace(-760.0, 700.0, 40001),
+        [-np.inf, np.inf, np.nan, -np.nan, f, np.nextafter(f, -np.inf), np.nextafter(f, np.inf)],
+        np.nextafter(-745.1332191019411, [-np.inf, 0.0]),
+    ])
+    for x in (sweep, sweep[: sweep.size // 7 * 7].reshape(-1, 7), sweep[::-3]):
+        got, want = _exp(x), np.exp(x)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert np.exp(np.nextafter(f, np.inf)) == 0.0
 
 
 # 40-digit image-sum oracle values

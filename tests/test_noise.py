@@ -8,8 +8,11 @@ from burgerslab.noise import (
     NoiseSheet,
     SeedSpec,
     _fill_sheet,
+    _generator,
     _log_densities,
+    _pcg_seeds,
     _sheet_blocks,
+    _stream_words,
     girsanov_log_density,
     girsanov_shift,
     sample_sheet,
@@ -21,6 +24,62 @@ def test_seed_spec_validation():
         SeedSpec(master_seed=-1)
     with pytest.raises(ValueError):
         SeedSpec(master_seed=3, path_index=-2)
+
+
+# numpy's SeedSequence and default_rng are the second route for noise's own
+# seed hash: the seeds below cover every entropy width, and the indices one
+# and two index words and the 63/64 boundary
+ORACLE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 0x9E3779B97F4A7C15]
+ORACLE_INDICES = [0, 63, 64, 2**32 - 1, 2**32]
+
+
+def _numpy_key(master_seed, index):
+    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _numpy_words(key):
+    return np.random.SeedSequence(key).generate_state(4, np.uint64)
+
+
+@pytest.mark.parametrize("master_seed", ORACLE_SEEDS)
+def test_stream_key_is_numpy_seed_sequence(master_seed):
+    for i in ORACLE_INDICES + [2**64 - 1, 2**64, 2**100 + 7]:
+        assert SeedSpec(master_seed, i).stream_key() == _numpy_key(master_seed, i)
+
+
+@pytest.mark.parametrize("master_seed", ORACLE_SEEDS)
+@pytest.mark.parametrize("indices", [ORACLE_INDICES, ORACLE_INDICES[:4], [2**32], [63], range(64)])
+def test_stream_words_are_numpy_seed_sequence(master_seed, indices):
+    # a chunk of narrow indices runs vectorised; one row, or a chunk holding
+    # a two-word index, runs row by row on Python ints
+    words = _stream_words(master_seed, indices)
+    assert words.dtype == np.uint64 and words.shape == (len(indices), 4)
+    assert words.flags.c_contiguous
+    for i, row in zip(indices, words):
+        assert np.array_equal(row, _numpy_words(_numpy_key(master_seed, i)))
+
+
+def test_stream_words_of_no_index():
+    assert _stream_words(5, []).shape == (0, 4)
+
+
+def test_pcg_seeds_of_keys_below_two_to_the_32():
+    # such a key is one entropy word to SeedSequence, not (key, 0); the
+    # whole array runs vectorised, each one-key slice on Python ints
+    keys = np.array([0, 1, 7, 2**31, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)
+    expect = [_numpy_words(int(k)) for k in keys]
+    assert np.array_equal(_pcg_seeds(keys), expect)
+    for j, row in enumerate(expect):
+        assert np.array_equal(_pcg_seeds(keys[j : j + 1])[0], row)
+
+
+@pytest.mark.parametrize("master_seed", [0, 2**64 - 1, 0x9E3779B97F4A7C15])
+def test_generators_draw_default_rng_normals(master_seed):
+    for i, words in zip(ORACLE_INDICES, _stream_words(master_seed, ORACLE_INDICES)):
+        ours = _generator(words).standard_normal(1000)
+        theirs = np.random.default_rng(_numpy_key(master_seed, i)).standard_normal(1000)
+        assert np.array_equal(ours, theirs)
 
 
 def test_sheet_shape_checked():

@@ -115,6 +115,23 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_no_numpy_random_until_a_draw():
+    # noise imports numpy.random on the first draw: importing the CLI, or a
+    # command that never draws, loads none of it
+    src = str(Path(burgerslab.__file__).parent.parent)
+    code = (
+        "import sys, tempfile, burgerslab.cli as c\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('numpy.random'))\n"
+        "print(loaded())\n"
+        "with tempfile.TemporaryDirectory() as d:\n"
+        "    print(c.main(['kernel-check', '--out', d, '--no-timestamp']))\n"
+        "print(loaded())"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split("\n")[:3] == ["[]", "0", "[]"]
+
+
 def test_one_json_writer():
     # every JSON file is written by cli._write_json
     counts = {
@@ -180,11 +197,17 @@ def test_one_skeleton_linearisation():
 
 
 def test_one_seed_to_sheet_path():
-    # seeds become numbers only in noise.py: SeedSpec keys each path's generator,
-    # which _fill_sheet and _sheet_blocks build and _draw reads
-    needles = ("default_rng(", "standard_normal(", "SeedSequence(")
-    found = {
-        path.name: [n for n in needles if n in path.read_text()]
-        for path in Path(burgerslab.__file__).parent.glob("*.py")
-    }
-    assert {name: n for name, n in found.items() if n} == {"noise.py": list(needles)}
+    # seeds become numbers only in noise.py: _generator builds every path's
+    # generator from its row of seed words, _draw alone reads one, and numpy's
+    # own seeding runs nowhere: noise computes the seed hash itself
+    names = {"default_rng", "SeedSequence", "RandomState", "Generator", "PCG64", "standard_normal"}
+    found = []
+    for path in sorted(Path(burgerslab.__file__).parent.glob("*.py")):
+        sites = _CallSites(names)
+        sites.visit(ast.parse(path.read_text(), filename=str(path)))
+        found += [(path.name, *site) for site in sites.found]
+    assert found == [
+        ("noise.py", "Generator", "_generator"),
+        ("noise.py", "PCG64", "_generator"),
+        ("noise.py", "standard_normal", "_draw"),
+    ]
