@@ -673,6 +673,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _available_cores() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -681,7 +688,7 @@ def main(argv=None) -> int:
         if args.dump_config:
             print(json.dumps(cfg, indent=2, sort_keys=True))
             return EXIT_OK
-        threads = (os.cpu_count() or 1) if args.threads is None else args.threads
+        threads = _available_cores() if args.threads is None else args.threads
         rc = validate_config(cfg, threads=threads, timestamp=not args.no_timestamp)
         os.makedirs(rc.out_dir, exist_ok=True)
         if args.command == "deterministic":

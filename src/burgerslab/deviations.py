@@ -4,13 +4,11 @@ Every Monte Carlo pass runs through one chunk driver, `_map_chunks`: fixed
 CHUNK_SIZE chunks of path indices on a thread pool, results in chunk order.
 Each chunk is a pure function of (master_seed, path indices), so a run is
 reproducible bit-for-bit whatever the number of worker threads.  A chunk
-steps every eps in one lockstep batch through the solvers' stepping engine
-(rows eps-major, each sheet broadcast over eps); a running max|u| per row
-applies the sup-norm guard.  The plain pass draws SHEET_BLOCK_ROWS steps of
-noise at a time, so a chunk holds one block plus the lockstep buffers.  The
-eps that fall back to importance sampling share a second batch of the same
-shape, each row block driven by the sheet plus that eps's Girsanov shift;
-that pass draws whole sheets, which the density reads.
+hands its noise to solvers._spde_steps, which steps every eps in one
+lockstep batch; the chunk only reduces what it yields: norms, and a running
+max|u| per row for the sup-norm guard.  The plain pass draws SHEET_BLOCK_ROWS
+steps of noise at a time; the importance pass draws whole sheets, which the
+density reads, and adds each eps's Girsanov shift.
 """
 from __future__ import annotations
 
@@ -18,7 +16,7 @@ import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -31,7 +29,7 @@ from .solvers import (
     SUP_GUARD,
     SigmaSpec,
     SolverConfig,
-    _march,
+    _spde_steps,
     heat_solve,
     solve_deterministic,
     solve_skeleton,
@@ -267,50 +265,21 @@ def _run_paths_chunk(
     increments,
     udet_frames: np.ndarray,
 ) -> tuple:
-    """Step every (eps, path) pair of a chunk of B paths in one lockstep batch.
+    """Per-path sup_t ||u||_2, sup_t ||u - u_det||_2 and guard, each (E, B).
 
-    Rows are eps-major.  increments(k) gives the noise increments of step k,
-    broadcastable to (len(eps_values), B, nx-1): a (B, nx-1) sheet slice is
-    shared by every eps without a copy.  Steps come in order, so increments
-    may read a block drawn ahead.  The right-hand side and the reductions
-    write into per-chunk buffers; U**2 is formed once per state.
-    Returns (sup_u, sup_diff, alive), each (len(eps_values), B): per-path
-    sup_t of the solution's L2 norm, sup_t of ||u - u_det||_2 (unscaled),
-    and the sup-norm guard.  The arithmetic per path matches solve_spde
-    bit for bit: every other operation is elementwise or per row, and
-    heat_solve runs each right-hand-side column through the same scalar
-    recurrence, whatever the batch width.
+    _spde_steps steps B paths at every eps on the per-step noise increments;
+    each path's numbers are solve_spde's, bit for bit, its guard on frames 1..nt.
     """
     E = len(eps_values)
-    sqrt_eps = np.sqrt(np.asarray(eps_values, dtype=float))[:, None, None]
     U = np.tile(u0_vals, (E * B, 1))
-    sq = U**2  # of the state the next rhs reads
-    half_sq = np.empty_like(U)
-    work = np.empty_like(U)
-    out = np.empty((E * B, g.nx - 1))
-    row = np.empty(E * B)
-
-    # solvers.solve_spde's right-hand side, operation for operation
-    def rhs(k, U):
-        noise = sigma(U[:, 1:-1]).reshape(E, B, -1)  # a fresh array
-        np.multiply(sqrt_eps, noise, out=noise)
-        np.multiply(noise, increments(k), out=noise)
-        np.divide(noise, g.dx, out=noise)
-        np.multiply(0.5, sq, out=half_sq)
-        np.subtract(half_sq[:, 2:], half_sq[:, :-2], out=out)
-        np.divide(out, 2.0 * g.dx, out=out)
-        np.multiply(g.dt, out, out=out)
-        np.add(U[:, 1:-1], out, out=out)
-        return np.add(out, noise.reshape(E * B, -1), out=out)
-
-    peak = np.zeros(E * B)
-    sup_u = norms_from_squares(sq, g)
-    sup_diff = np.zeros(E * B)
+    # heat_solve under this module's name: a wrapper on it sees every step
+    steps = _spde_steps(g, U, eps_values, sigma, increments, heat_solve)
+    sup_u = norms_from_squares(next(steps)[2], g)  # frame 0
+    peak, sup_diff = np.zeros(E * B), np.zeros(E * B)
+    work, row = np.empty_like(U), np.empty(E * B)
     with np.errstate(over="ignore", invalid="ignore"):
-        # heat_solve under this module's name: a wrapper on it sees every step
-        for n, U in _march(g, U, rhs, heat_solve):
+        for n, U, sq in steps:
             np.maximum(peak, np.abs(U, out=work).max(axis=1, out=row), out=peak)
-            np.square(U, out=sq)
             np.maximum(sup_u, norms_from_squares(sq, g, out=row), out=sup_u)
             np.square(np.subtract(U, udet_frames[n], out=work), out=work)
             np.maximum(sup_diff, norms_from_squares(work, g, out=row), out=sup_diff)
@@ -358,10 +327,9 @@ def _importance_pass(
     def chunk_weights(indices):
         dWs = next(_sheet_blocks(g, mc.master_seed, indices, g.nt))
         shifted = np.empty((len(eps_values), len(indices), g.nx - 1))
+        steps = (np.add(dWs[:, k], shifts[:, None, k], out=shifted) for k in range(g.nt))
         _, sup_diff, alive = _run_paths_chunk(
-            u0.values, g, eps_values, sigma, len(indices),
-            lambda k: np.add(dWs[:, k, :], shifts[:, None, k, :], out=shifted),
-            u_det.frames,
+            u0.values, g, eps_values, sigma, len(indices), steps, u_det.frames
         )
         hit = (sup_diff / a_vals > mc.threshold) & alive
         logw = _log_density(dWs, v_vals, h_vals, g)  # (E, B)
@@ -408,16 +376,10 @@ def mc_run(
 
     def chunk_stats(indices):
         blocks = _sheet_blocks(g, mc.master_seed, indices, SHEET_BLOCK_ROWS)
-        block = None
-
-        def increments(k):
-            nonlocal block
-            if k % SHEET_BLOCK_ROWS == 0:
-                block = next(blocks)
-            return block[:, k % SHEET_BLOCK_ROWS]
-
+        # each (B, rows, nx-1) block read step by step before the next is drawn
+        steps = chain.from_iterable(block.swapaxes(0, 1) for block in blocks)
         return _run_paths_chunk(
-            u0.values, g, mc.eps_grid, sigma, len(indices), increments, u_det.frames,
+            u0.values, g, mc.eps_grid, sigma, len(indices), steps, u_det.frames
         )
 
     parts = _map_chunks(chunk_stats, mc.n_paths, mc.threads)

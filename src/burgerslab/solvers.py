@@ -11,9 +11,9 @@ the same bits, see HEAT_BACKEND),
 explicit conservative central flux, per-cell noise dW/(dt*dx), each step
     (I - dt*L) u^{k+1} = u^k + dt*Dx(flux) + forcing_k ,
 so there is no dt <= dx^2/2 constraint.  The state is one path (nx+1,) or
-a batch (B, nx+1); callers supply only the right-hand side and apply the
-sup-norm guard to what they record: single-path solvers raise at the first
-bad frame, batched callers drop the paths whose running max|u| passes it.
+a batch (B, nx+1).  _spde_steps is the one stochastic step: solve_spde runs
+it on one path and raises past the sup-norm guard, Monte Carlo chunks run it
+on lockstep batches and drop the paths whose running max|u| passes it.
 
 The controlled-deviation solver steps the deviation variable directly with
 the algebra that makes it pathwise-identical to the Girsanov route
@@ -106,8 +106,8 @@ class SigmaSpec:
     def __post_init__(self):
         if self.kind not in ("constant", "cosine", "tabulated"):
             raise ValueError(f"unknown sigma kind {self.kind!r}")
-        if self.bound < 0 or self.lipschitz < 0:
-            raise ValueError("bound and lipschitz must be nonnegative")
+        if not (0 <= self.bound < np.inf and 0 <= self.lipschitz < np.inf):
+            raise ValueError("bound and lipschitz must be finite and nonnegative")
 
     @classmethod
     def constant(cls, c: float) -> "SigmaSpec":
@@ -124,6 +124,8 @@ class SigmaSpec:
         ys = tuple(float(y) for y in ys)
         if len(xs) != len(ys) or len(xs) < 2:
             raise ValueError("tabulated sigma needs matching xs/ys, length >= 2")
+        if not np.all(np.isfinite(xs + ys)):
+            raise ValueError("tabulated xs/ys must be finite")
         dx = np.diff(xs)
         if np.any(dx <= 0):
             raise ValueError("tabulated xs must be strictly increasing")
@@ -354,6 +356,36 @@ def _frames(u0_vals: np.ndarray, g: Grid, rhs, solve=heat_solve) -> np.ndarray:
     return frames
 
 
+def _spde_steps(g: Grid, U: np.ndarray, eps_values, sigma, increments, solve=heat_solve):
+    """Stochastic Burgers steps of U (E*B, nx+1), rows eps-major; yields (n, U, U**2), n = 0..nt.
+
+    increments gives each step's noise, broadcastable to (E, B, nx-1), so one
+    (B, nx-1) sheet slice drives every eps; the next step overwrites what is
+    yielded.  A row's bits do not depend on the batch: every operation is
+    elementwise or per row, the heat solve per column.
+    """
+    E, dW = len(eps_values), iter(increments)
+    sqrt_eps = np.sqrt(np.asarray(eps_values, dtype=float))[:, None, None]
+    sq = U**2
+    half_sq, out = np.empty_like(sq), np.empty((U.shape[0], g.nx - 1))
+
+    def rhs(k, U):
+        noise = sigma(U[:, 1:-1]).reshape(E, -1, g.nx - 1)  # a fresh array
+        np.multiply(sqrt_eps, noise, out=noise)
+        np.multiply(noise, next(dW), out=noise)
+        np.divide(noise, g.dx, out=noise)
+        np.multiply(0.5, sq, out=half_sq)  # the flux u^2/2
+        np.subtract(half_sq[:, 2:], half_sq[:, :-2], out=out)
+        np.divide(out, 2.0 * g.dx, out=out)
+        np.multiply(g.dt, out, out=out)
+        np.add(U[:, 1:-1], out, out=out)
+        return np.add(out, noise.reshape(U.shape[0], -1), out=out)
+
+    yield 0, U, sq
+    for n, U in _march(g, U, rhs, solve):
+        yield n, U, np.square(U, out=sq)
+
+
 def _guarded(frames: np.ndarray, g: Grid) -> SpaceTimeField:
     """The finished path, or InstabilityError at its first frame past SUP_GUARD."""
     sups = np.abs(frames[1:]).max(axis=1)
@@ -395,13 +427,11 @@ def solve_spde(
     same_grid(g, u0=u0, w=w)
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    sqrt_eps = np.sqrt(eps)
-
-    def rhs(k, u):
-        noise = sqrt_eps * sigma(u[1:-1]) * w.dW[k] / g.dx
-        return u[1:-1] + g.dt * flux_divergence(u, g.dx) + noise
-
-    return _guarded(_frames(u0.values, g, rhs), g)
+    frames = np.empty((g.nt + 1, g.nx + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, U, _ in _spde_steps(g, u0.values[None], (eps,), sigma, w.dW):
+            frames[n] = U[0]
+    return _guarded(frames, g)
 
 
 def solve_controlled(

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from burgerslab import noise, ratefn
+from burgerslab import cli, noise, ratefn
 from burgerslab.cli import (
     DEFAULTS,
     EXIT_CHECK,
@@ -702,6 +702,21 @@ class TestThreads:
         assert main(
             ["mc", "--config", cfg, "--out", str(tmp_path / "x"), "--threads", threads]
         ) == EXIT_USAGE
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_default_threads_are_the_available_cores(self, tmp_path, monkeypatch, affinity):
+        # one CPU in the affinity set of a 64-core machine gives one worker; where
+        # the OS has no affinity call, cpu_count decides
+        seen = []
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        if affinity:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli, "cmd_mc", lambda rc: seen.append(rc.mc.threads) or EXIT_OK)
+        cfg = write_config(tmp_path, "c.json", self.CFG)
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path / "x")]) == EXIT_OK
+        assert seen == [1 if affinity else 64]
 
     def test_girsanov_report_independent_of_threads(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", self.CFG)

@@ -333,10 +333,8 @@ class TestMcRun:
             hits = int(np.sum(sup_dev / sched.a(rec.eps) > mc.threshold))
             assert 0 < hits < mc.n_paths
             assert rec.p_hat * mc.n_paths == hits
-            assert dict(rec.moments_u)[2] == pytest.approx(np.mean(sup_u**2), rel=1e-13)
-            assert dict(rec.moments_dev)[2] == pytest.approx(
-                np.mean(sup_dev**2), rel=1e-13
-            )
+            assert dict(rec.moments_u)[2] == np.mean(sup_u**2)
+            assert dict(rec.moments_dev)[2] == np.mean(sup_dev**2)
 
 class TestImportanceSampling:
     G = Grid(nx=24, nt=160, T=0.5)

@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from burgerslab.grids import (
     sup_t_l2,
 )
 from burgerslab.kernels import eval_G, eval_dG_dy
-from burgerslab.noise import NoiseSheet, SeedSpec, girsanov_shift, sample_sheet
+from burgerslab.noise import NoiseSheet, SeedSpec, _sheet_blocks, girsanov_shift, sample_sheet
 from burgerslab.solvers import (
     ContractionFailureError,
     InstabilityError,
@@ -37,7 +38,7 @@ from burgerslab.solvers import (
 )
 from burgerslab import solvers
 from burgerslab.solvers import _sine_basis
-from burgerslab.deviations import ScalingSchedule, deviation_field
+from burgerslab.deviations import SHEET_BLOCK_ROWS, ScalingSchedule, deviation_field
 from burgerslab.ratefn import (
     SkeletonContext,
     _exact_preimage,
@@ -103,6 +104,24 @@ class TestSigmaSpec:
             SigmaSpec.tabulated((0.0, 1.0), (1.0,))
         with pytest.raises(ValueError):
             SigmaSpec.tabulated((0.0, 0.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SigmaSpec.constant(np.nan),
+            lambda: SigmaSpec.constant(-np.inf),
+            lambda: SigmaSpec.cosine(np.inf),
+            lambda: SigmaSpec.cosine(np.nan),
+            lambda: SigmaSpec.tabulated((0.0, np.nan), (1.0, 2.0)),
+            lambda: SigmaSpec.tabulated((0.0, 1.0), (np.nan, 2.0)),
+            lambda: SigmaSpec.tabulated((0.0, np.inf), (1.0, 2.0)),
+            lambda: SigmaSpec(kind="constant", params=(1.0,), bound=1.0, lipschitz=np.nan),
+        ],
+    )
+    def test_rejects_non_finite(self, build):
+        # sigma must be bounded and globally Lipschitz
+        with pytest.raises(ValueError, match="finite"):
+            build()
 
 
 class TestSolverConfig:
@@ -322,7 +341,57 @@ class TestDeterministic:
 # ------------------------------------------------------------ SPDE solver
 
 
+def reference_spde_frames(u0, g, eps, sigma, w):
+    """solve_spde's frames by an independent route: an allocating right-hand side."""
+    sqrt_eps = np.sqrt(eps)
+
+    def rhs(k, u):
+        noise = sqrt_eps * sigma(u[1:-1]) * w.dW[k] / g.dx
+        return u[1:-1] + g.dt * solvers.flux_divergence(u, g.dx) + noise
+
+    return solvers._frames(u0.values, g, rhs)
+
+
+SIGMAS = [
+    SigmaSpec.constant(0.8),
+    SigmaSpec.cosine(1.3),
+    SigmaSpec.tabulated((-1.0, 0.0, 0.5, 2.0), (0.3, 1.0, 0.4, 0.4)),
+]
+
+
 class TestSpde:
+    @pytest.mark.parametrize("sigma", SIGMAS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("eps", [0.0, 1e-3, 1.0])
+    def test_matches_reference_stepper_bitwise(self, eps, sigma):
+        g = Grid(nx=24, nt=40, T=0.5)
+        u0 = sin_field(g, 0.9)
+        w = sample_sheet(g, SeedSpec(11, 2))
+        expect = reference_spde_frames(u0, g, eps, sigma, w)
+        assert np.array_equal(solve_spde(u0, g, eps, sigma, w).frames, expect)
+
+    @pytest.mark.parametrize("sigma", SIGMAS, ids=lambda s: s.kind)
+    def test_batch_rows_are_single_paths_at_every_step(self, sigma):
+        # E = 3 eps x B = 5 paths, rows eps-major, the noise streamed in step
+        # blocks as the MC chunks read it, the last block a short one
+        g = Grid(nx=20, nt=45, T=0.4)
+        assert g.nt % SHEET_BLOCK_ROWS
+        eps_values, B = (1.0, 1e-2, 1e-4), 5
+        u0 = sin_field(g, 0.9)
+        singles = [
+            solve_spde(u0, g, eps, sigma, sample_sheet(g, SeedSpec(9, i))).frames
+            for eps in eps_values
+            for i in range(B)
+        ]
+        blocks = _sheet_blocks(g, 9, range(B), SHEET_BLOCK_ROWS)
+        increments = chain.from_iterable(b.swapaxes(0, 1) for b in blocks)
+        U0 = np.tile(u0.values, (len(eps_values) * B, 1))
+        steps = solvers._spde_steps(g, U0, eps_values, sigma, increments)
+        for n, U, sq in steps:
+            expect = np.array([f[n] for f in singles])
+            assert np.array_equal(U, expect)
+            assert np.array_equal(sq, expect**2)
+        assert n == g.nt
+
     def test_eps_zero_bit_identical_random_configs(self):
         rng = np.random.default_rng(2718)
         for _ in range(5):

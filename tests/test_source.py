@@ -107,6 +107,17 @@ def test_one_heat_engine():
     assert found == [("solvers.py", "heat_factor", "_march")]
 
 
+def test_one_stochastic_step():
+    # the discretisation lives in solvers: only it and the rate adjoint's
+    # backward sweep drive _march, so deviations reduces what solvers steps
+    found = set()
+    for path in sorted(Path(burgerslab.__file__).parent.glob("*.py")):
+        sites = _CallSites({"_march"})
+        sites.visit(ast.parse(path.read_text(), filename=str(path)))
+        found |= {(path.name, scope) for _, scope in sites.found if path.name != "solvers.py"}
+    assert found == {("ratefn.py", "_adjoint_values")}
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(burgerslab.__file__).parent.parent)
     code = "import sys, burgerslab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
