@@ -21,9 +21,9 @@ from itertools import chain, compress
 import numpy as np
 
 from .grids import Control, Grid, SpaceField, SpaceTimeField, norms_from_squares, same_grid
-from .grids import sup_t_l2
+from .grids import _whole, sup_t_l2
 # sample_sheet is unused; perfbench/child.py BOUNDARIES wraps it
-from .noise import _log_density, _sheet_blocks, sample_sheet
+from .noise import _drift_increment, _log_density, _sheet_blocks, sample_sheet
 from .solvers import (
     DEFAULT_SOLVER,
     SUP_GUARD,
@@ -111,15 +111,6 @@ def deviation_field(
     same_grid(u_eps.grid, u_det=u_det)
     scale = sched.a(eps)
     return SpaceTimeField((u_eps.frames - u_det.frames) / scale, u_eps.grid)
-
-
-def _whole(x, name: str) -> int:
-    """x as an int; ValueError unless it is a whole number such as 3 or 3.0."""
-    if isinstance(x, (int, np.integer)) or (
-        isinstance(x, (float, np.floating)) and float(x).is_integer()
-    ):
-        return int(x)
-    raise ValueError(f"{name} must be a whole number, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -322,7 +313,7 @@ def _importance_pass(
     v_vals = strength * profile
     a_vals = np.array([sched.a(e) for e in eps_values])[:, None]
     h_vals = np.array([sched.h(e) for e in eps_values])[:, None]
-    shifts = h_vals[:, :, None] * v_vals * (g.dt * g.dx)  # (E, nt, nx-1)
+    shifts = _drift_increment(v_vals, h_vals[:, :, None], g)  # (E, nt, nx-1)
 
     def chunk_weights(indices):
         dWs = next(_sheet_blocks(g, mc.master_seed, indices, g.nt))

@@ -64,6 +64,15 @@ def _freeze(obj, name: str, shape: tuple, walls: bool = False) -> None:
     object.__setattr__(obj, name, vals)
 
 
+def _whole(x, name: str) -> int:
+    """x as an int; ValueError unless it is a whole number such as 3 or 3.0."""
+    if isinstance(x, (int, np.integer)) or (
+        isinstance(x, (float, np.floating)) and float(x).is_integer()
+    ):
+        return int(x)
+    raise ValueError(f"{name} must be a whole number, got {x!r}")
+
+
 def same_grid(g: Grid, **named) -> None:
     """DimensionError naming the first keyword whose object's .grid is not g."""
     for name, obj in named.items():

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Control, Grid, _freeze, ht_dot, same_grid
+from .grids import Control, Grid, _freeze, _whole, ht_dot, same_grid
 
 __all__ = [
     "SeedSpec",
@@ -66,12 +66,12 @@ class SeedSpec:
     path_index: int = 0
 
     def __post_init__(self):
-        if not (0 <= int(self.master_seed) <= _UINT64_MASK):
+        for name in ("master_seed", "path_index"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
+        if not (0 <= self.master_seed <= _UINT64_MASK):
             raise ValueError("master_seed must fit in 64 bits")
-        if int(self.path_index) < 0:
+        if self.path_index < 0:
             raise ValueError("path_index must be nonnegative")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
-        object.__setattr__(self, "path_index", int(self.path_index))
 
     def stream_key(self) -> int:
         """64-bit stream key, a pure function of (master_seed, path_index).
@@ -240,11 +240,6 @@ def _fill_sheets(g: Grid, master_seed: int, indices, out: np.ndarray):
         yield int(key)
 
 
-def _fill_sheet(g: Grid, s: SeedSpec, out: np.ndarray) -> int:
-    """Draw path s's i.i.d. N(0, dt*dx) increments into out; return the stream key."""
-    return next(_fill_sheets(g, s.master_seed, (s.path_index,), out))
-
-
 def _sheet_blocks(g: Grid, master_seed: int, indices, rows: int):
     """Sheets of SeedSpec(master_seed, i), i in indices, as (B, rows, nx-1) step blocks.
 
@@ -264,7 +259,7 @@ def _sheet_blocks(g: Grid, master_seed: int, indices, rows: int):
 def sample_sheet(g: Grid, s: SeedSpec) -> NoiseSheet:
     """Draw the i.i.d. N(0, dt*dx) increment matrix for one path."""
     dW = np.empty((g.nt, g.nx - 1))
-    key = _fill_sheet(g, s, dW)
+    key = next(_fill_sheets(g, s.master_seed, (s.path_index,), dW))
     return NoiseSheet(dW=dW, seed=key, grid=g)
 
 
@@ -275,8 +270,12 @@ def girsanov_shift(w: NoiseSheet, v: Control, h: float) -> NoiseSheet:
     data, not a fresh draw.
     """
     same_grid(w.grid, control=v)
-    g = w.grid
-    return NoiseSheet(w.dW + h * v.values * (g.dt * g.dx), seed=w.seed, grid=g)
+    return NoiseSheet(w.dW + _drift_increment(v.values, h, w.grid), seed=w.seed, grid=w.grid)
+
+
+def _drift_increment(v, h, g: Grid):
+    """h*v*dt*dx, the shift of the sheet's increments; h and v broadcast."""
+    return h * v * (g.dt * g.dx)
 
 
 def _exponent(stoch, h, quad):

@@ -9,10 +9,12 @@ Controls and responses pair in one inner product, `grids.ht_dot` (dt·dx per
 cell, the noise sheet's own norm), so the adjoint is the plain transpose.
 Where sigma(u_det) vanishes the control has no effect, and since that metric
 is diagonal the least-norm preimage is zero there; elsewhere it is unique.
+This module only finds that control: it consumes the map's forward sweep,
+transpose and inverse from solvers, passing its own heat_solve to both sweeps.
 
 rate_value takes one of two routes.  The exact route back-substitutes every
-step at once (`_exact_preimage`: one vectorized pass, no time loop, no
-heat solve, v = 0 on the cells where sigma(u_det) is 0) and keeps the
+step at once (`solvers._skeleton_preimage`: one vectorized pass, no heat
+solve, v = 0 on the cells where sigma(u_det) is 0) and keeps the
 preimage when both hold:
 
   (a) every entry is finite;
@@ -31,32 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Control, SpaceTimeField, ht_dot, ht_norm, same_grid, sup_t_l2
-from .solvers import SkeletonContext, _central_difference, _march, _skeleton_frames, heat_solve
+from .solvers import _FULL_LATTICE, SkeletonContext, _skeleton_adjoint, _skeleton_frames
 # solve_deterministic is not called here; perfbench/child.py BOUNDARIES still wraps it
-from .solvers import solve_deterministic
-
-
-def _adjoint_values(ctx: SkeletonContext, field_int: np.ndarray) -> np.ndarray:
-    """Adjoint of the forward sweep on frames 1..nt, interior nodes.
-
-    Both sides pair with ht_dot, so the adjoint is the plain Euclidean
-    transpose: the solvers' stepping engine runs it backward in time from
-    psi_nt = 0, step k solving (I - dt*L) psi_k = psi_{k+1}
-    - dt*c*u_det,k+1*Dx psi_{k+1} + f_k.  The centered flux divergence with
-    wall padding is skew-symmetric, so its transpose is its negative;
-    I - dt*L is symmetric, so its inverse transposes to the same heat solve.
-    """
-    g, transport = ctx.grid, ctx._transport
-    out = np.empty((g.nt, g.nx - 1))
-
-    def rhs(j, psi):  # march step j is time step k = nt - 1 - j, psi is psi_{k+1}
-        k = g.nt - 1 - j
-        dpsi = _central_difference(psi, g.dx)
-        return psi[1:-1] - g.dt * transport[k + 1][1:-1] * dpsi + field_int[k]
-
-    for n, psi in _march(g, np.zeros(g.nx + 1), rhs, heat_solve):
-        out[g.nt - n] = g.dt * ctx._forcing[g.nt - n] * psi[1:-1]
-    return out
+from .solvers import _skeleton_preimage, heat_solve, solve_deterministic
 
 
 def apply_forward(v: Control, ctx: SkeletonContext) -> SpaceTimeField:
@@ -66,12 +45,9 @@ def apply_forward(v: Control, ctx: SkeletonContext) -> SpaceTimeField:
 
 
 def apply_adjoint(field: SpaceTimeField, ctx: SkeletonContext) -> Control:
-    """Adjoint of the response map, both sides paired by ht_dot.
-
-    A Control wrapping _adjoint_values on the field's frames 1..nt.
-    """
+    """Adjoint of the response map, both sides paired by ht_dot, on frames 1..nt."""
     same_grid(ctx.grid, field=field)
-    return Control(_adjoint_values(ctx, field.frames[1:, 1:-1]), ctx.grid)
+    return Control(_skeleton_adjoint(ctx, field.frames[1:, 1:-1], heat_solve), ctx.grid)
 
 
 @dataclass(frozen=True)
@@ -102,38 +78,10 @@ class RateResult:
         }
 
 
-# np.pad widths that put interior frames 1..nt back on the full lattice:
-# the zero frame 0 and the zero walls, as sup_t_l2 expects
-_FULL_LATTICE = ((1, 0), (1, 1))
-
-
-def _exact_preimage(ctx: SkeletonContext, target: np.ndarray) -> np.ndarray:
-    """Control whose response is the target (frames 1..nt, interior), all steps at once.
-
-    Step k of the forward sweep, the skeleton equation of the solvers
-    module docstring, is
-    (I − dt·L) f_{k+1} = f_k + dt·(Dx(c·u_det,k·f_k) + sigma(u_det,k)·v_k),
-    so v_k follows from two consecutive target frames, with the Dirichlet
-    Laplacian applied as a tridiagonal matvec.  Where sigma(u_det,k) is 0
-    the control has no effect and the least-norm choice v_k = 0 is taken;
-    whether the step equation then holds there is left to the forward check.
-    """
-    g = ctx.grid
-    frames = np.pad(target, _FULL_LATTICE)
-    new, old = frames[1:], frames[:-1]
-    heat = new[:, 1:-1] - g.dt / g.dx**2 * (new[:, :-2] - 2.0 * new[:, 1:-1] + new[:, 2:])
-    div = _central_difference(ctx._transport[:-1] * old, g.dx)
-    step = heat - old[:, 1:-1] - g.dt * div
-    with np.errstate(over="ignore"):
-        return np.divide(
-            step, g.dt * ctx._forcing, out=np.zeros_like(step), where=ctx._forcing != 0.0
-        )
-
-
 def _exact_route(ctx: SkeletonContext, target: np.ndarray, threshold: float):
     """The exact preimage as (values, history, residual, 1), or None unless (a) and (b) hold."""
     g = ctx.grid
-    v = _exact_preimage(ctx, target)
+    v = _skeleton_preimage(ctx, target)
     if not np.all(np.isfinite(v)):
         return None
     r = target - _skeleton_frames(ctx, v, heat_solve)[1:, 1:-1]
@@ -161,7 +109,7 @@ def _cgls(ctx: SkeletonContext, target: np.ndarray, threshold: float, max_iter: 
     history = [float(np.sqrt(ht_dot(r, r, g)))]
     if sup_res <= threshold:
         return v, tuple(history), sup_res, 0
-    s = _adjoint_values(ctx, r)
+    s = _skeleton_adjoint(ctx, r, heat_solve)
     p = s.copy()
     gamma = ht_dot(s, s, g)
     for it in range(1, max_iter + 1):
@@ -176,7 +124,7 @@ def _cgls(ctx: SkeletonContext, target: np.ndarray, threshold: float, max_iter: 
         history.append(float(np.sqrt(ht_dot(r, r, g))))
         if sup_res <= threshold:
             return v, tuple(history), sup_res, it
-        s = _adjoint_values(ctx, r)
+        s = _skeleton_adjoint(ctx, r, heat_solve)
         gamma_new = ht_dot(s, s, g)
         if gamma_new <= 0.0 or not np.isfinite(gamma_new):
             return v, tuple(history), sup_res, it

@@ -32,12 +32,14 @@ At the default config u_det has decayed by the late times that dominate,
 so every rate-side number is the stochastic heat equation's (the set rate
 matches its closed form to 6e-8); Burgers transport shows at 32x256,
 T = 0.1, amplitude 5 (set rate 0.3246 against the heat equation's 0.1654).
-_linearise builds the coefficients once per base flow (SkeletonContext);
-solve_skeleton steps the first form, solve_skeleton_fixed_point iterates
-the second in the nx - 1 sine modes of the interior lattice, where the
-Dirichlet kernel is diagonal, with a Gauss rule in sqrt(t - s) for the
-history; it shares no code with the finite-difference stepping it
-arbitrates.
+_linearise builds the coefficients once per base flow (SkeletonContext).
+Only this module knows the first form's lattice step, in three operators
+the rate function consumes: _skeleton_frames (forward), _skeleton_adjoint
+(transpose) and _skeleton_preimage (inverse).  solve_skeleton steps it,
+solve_skeleton_fixed_point iterates the second in the nx - 1 sine modes of
+the interior lattice, where the Dirichlet kernel is diagonal, with a Gauss
+rule in sqrt(t - s) for the history; it shares no code with the
+finite-difference stepping it arbitrates.
 """
 from __future__ import annotations
 
@@ -540,6 +542,57 @@ def _skeleton_frames(ctx: SkeletonContext, v_values, solve):
         return ubar[1:-1] + g.dt * (div + forcing[k] * v_values[k])
 
     return _frames(np.zeros(g.nx + 1), g, rhs, solve)
+
+
+def _skeleton_adjoint(ctx: SkeletonContext, field_int: np.ndarray, solve) -> np.ndarray:
+    """Adjoint of the forward sweep on frames 1..nt, interior nodes.
+
+    Both sides pair with ht_dot, so the adjoint is the plain Euclidean
+    transpose: _march runs it backward in time from psi_nt = 0, step k
+    solving (I - dt*L) psi_k = psi_{k+1} - dt*c*u_det,k+1*Dx psi_{k+1} + f_k.
+    The centered flux divergence with wall padding is skew-symmetric, so its
+    transpose is its negative; I - dt*L is symmetric, so its inverse
+    transposes to the same heat solve, `solve` as in _skeleton_frames.
+    """
+    g, transport = ctx.grid, ctx._transport
+    out = np.empty((g.nt, g.nx - 1))
+
+    def rhs(j, psi):  # march step j is time step k = nt - 1 - j, psi is psi_{k+1}
+        k = g.nt - 1 - j
+        dpsi = _central_difference(psi, g.dx)
+        return psi[1:-1] - g.dt * transport[k + 1][1:-1] * dpsi + field_int[k]
+
+    for n, psi in _march(g, np.zeros(g.nx + 1), rhs, solve):
+        out[g.nt - n] = g.dt * ctx._forcing[g.nt - n] * psi[1:-1]
+    return out
+
+
+# np.pad widths that put interior frames 1..nt back on the full lattice:
+# the zero frame 0 and the zero walls, as sup_t_l2 expects
+_FULL_LATTICE = ((1, 0), (1, 1))
+
+
+def _skeleton_preimage(ctx: SkeletonContext, target: np.ndarray) -> np.ndarray:
+    """Control whose response is the target (frames 1..nt, interior), all steps at once.
+
+    Step k of the forward sweep, the skeleton equation of the module
+    docstring, is
+    (I − dt·L) f_{k+1} = f_k + dt·(Dx(c·u_det,k·f_k) + sigma(u_det,k)·v_k),
+    so v_k follows from two consecutive target frames, with the Dirichlet
+    Laplacian applied as a tridiagonal matvec.  Where sigma(u_det,k) is 0
+    the control has no effect and the least-norm choice v_k = 0 is taken;
+    whether the step equation then holds there is left to the forward check.
+    """
+    g = ctx.grid
+    frames = np.pad(target, _FULL_LATTICE)
+    new, old = frames[1:], frames[:-1]
+    heat = new[:, 1:-1] - g.dt / g.dx**2 * (new[:, :-2] - 2.0 * new[:, 1:-1] + new[:, 2:])
+    div = _central_difference(ctx._transport[:-1] * old, g.dx)
+    step = heat - old[:, 1:-1] - g.dt * div
+    with np.errstate(over="ignore"):
+        return np.divide(
+            step, g.dt * ctx._forcing, out=np.zeros_like(step), where=ctx._forcing != 0.0
+        )
 
 
 def solve_skeleton(

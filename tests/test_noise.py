@@ -7,7 +7,7 @@ from burgerslab.grids import read_lattice_csv, write_lattice_csv
 from burgerslab.noise import (
     NoiseSheet,
     SeedSpec,
-    _fill_sheet,
+    _fill_sheets,
     _generator,
     _log_densities,
     _pcg_seeds,
@@ -24,6 +24,20 @@ def test_seed_spec_validation():
         SeedSpec(master_seed=-1)
     with pytest.raises(ValueError):
         SeedSpec(master_seed=3, path_index=-2)
+
+
+@pytest.mark.parametrize("master_seed, path_index", [(2.7, 0), (3, 0.9), (3, -0.5)])
+def test_seed_spec_rejects_fractional_seeds(master_seed, path_index):
+    # int() would truncate them to another path's stream, -0.5 to path 0
+    with pytest.raises(ValueError, match="whole number"):
+        SeedSpec(master_seed, path_index)
+
+
+def test_seed_spec_accepts_whole_floats():
+    s = SeedSpec(3.0, np.float64(5.0))
+    assert (s.master_seed, s.path_index) == (3, 5)
+    assert type(s.master_seed) is int and type(s.path_index) is int
+    assert s.stream_key() == SeedSpec(3, 5).stream_key()
 
 
 # numpy's SeedSequence and default_rng are the second route for noise's own
@@ -181,14 +195,17 @@ def _unit_ht_control(g, profile):
 
 @pytest.mark.parametrize("nx,nt", [(4, 8), (16, 32), (64, 256)])
 def test_fill_sheet_is_sample_sheet_bitwise(nx, nt):
-    # every entry of the buffer is drawn over; the key is the sheet's seed
+    # every entry of the buffer is drawn over, sheet after sheet, both for one
+    # index and for a chunk of them; the key is the sheet's seed
     g = Grid(nx=nx, nt=nt, T=1.0)
-    for i in (0, 3, 1000):
+    indices = (0, 3, 1000)
+    for chunk in [(i,) for i in indices] + [indices]:
         buf = np.full((g.nt, g.nx - 1), np.nan)
-        key = _fill_sheet(g, SeedSpec(2718, i), buf)
-        w = sample_sheet(g, SeedSpec(2718, i))
-        assert np.array_equal(buf, w.dW)
-        assert key == w.seed
+        for i, key in zip(chunk, _fill_sheets(g, 2718, chunk, buf), strict=True):
+            w = sample_sheet(g, SeedSpec(2718, i))
+            assert np.array_equal(buf, w.dW)
+            assert key == w.seed
+            buf.fill(np.nan)
 
 
 @pytest.mark.parametrize("nx,nt", [(16, 250), (64, 256)])

@@ -19,12 +19,11 @@ from burgerslab.ratefn import (
     RateResult,
     SkeletonContext,
     _cgls,
-    _exact_preimage,
     apply_adjoint,
     apply_forward,
     rate_value,
 )
-from burgerslab.solvers import SigmaSpec, solve_skeleton
+from burgerslab.solvers import SigmaSpec, _skeleton_preimage, solve_skeleton
 
 
 def make_ctx(nx=32, nt=256, T=0.25):
@@ -274,7 +273,7 @@ class TestExactRoute:
         target = apply_forward(smooth_control(g, 11, 0.7), ctx).frames[1:, 1:-1]
         v_cgls, _, residual, _ = _cgls(ctx, target, 1e-12, 5000)
         assert residual <= 1e-12
-        assert ht_norm(v_cgls - _exact_preimage(ctx, target), g) <= 1e-6
+        assert ht_norm(v_cgls - _skeleton_preimage(ctx, target), g) <= 1e-6
 
     def test_recovers_generating_control(self):
         g, ctx = make_ctx()
@@ -307,6 +306,23 @@ class TestExactRoute:
         assert res.attained
         assert res.method == "exact"
         assert res.value == pytest.approx(0.0862, rel=1e-3)
+
+    def test_exact_known_answer_at_transport_config(self, transport_config):
+        # no other test pins the inverse's bits, and only here does transport
+        # shape the preimage; recorded with the inverse written in ratefn;
+        # numpy 2.4, x86-64 Linux
+        g, u0, sigma = transport_config
+        ctx = SkeletonContext.build(u0, g, sigma)
+        v = Control.sample(
+            g, lambda t, x: np.cos(np.pi * t / g.T) * np.sin(np.pi * x) + np.sin(2 * np.pi * x)
+        )
+        res = rate_value(apply_forward(v, ctx), ctx)
+        assert res.method == "exact"
+        assert res.value == 0.03750000000000009
+        assert res.residual == 2.2740995188700764e-17
+        assert hashlib.sha256(res.v_star.values.tobytes()).hexdigest() == (
+            "34f073c79760cadca004fbf298c0baa7a6542ea3ab903bfd103324414b44bce3"
+        )
 
     @pytest.mark.filterwarnings("error")
     def test_unattainable_target_stalls_in_cgls(self):

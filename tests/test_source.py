@@ -108,14 +108,29 @@ def test_one_heat_engine():
 
 
 def test_one_stochastic_step():
-    # the discretisation lives in solvers: only it and the rate adjoint's
-    # backward sweep drive _march, so deviations reduces what solvers steps
+    # the discretisation lives in solvers: no other module drives _march, so
+    # deviations reduces what solvers steps and ratefn only consumes its sweeps
     found = set()
     for path in sorted(Path(burgerslab.__file__).parent.glob("*.py")):
         sites = _CallSites({"_march"})
         sites.visit(ast.parse(path.read_text(), filename=str(path)))
         found |= {(path.name, scope) for _, scope in sites.found if path.name != "solvers.py"}
-    assert found == {("ratefn.py", "_adjoint_values")}
+    assert found == set()
+
+
+def test_one_skeleton_step_equation():
+    # solvers alone knows the skeleton's lattice step: only it imports or calls
+    # _march and _central_difference, or reads the context's coefficients
+    names = {"_march", "_central_difference", "_transport", "_forcing"}
+    found = set()
+    for path in sorted(Path(burgerslab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in names:
+                found.add((path.name, name))
+    assert found == {("solvers.py", name) for name in names}
 
 
 def test_cli_import_loads_no_scipy():
