@@ -1,12 +1,10 @@
 """Command-line front end for reproducible experiments.
 
 Every subcommand is a pure function of the configuration file and the
-flags: defaults, then file values, then environment overrides, then flags,
-in increasing precedence.  Fields and controls go to CSV in the lattice
-layout of burgerslab.grids (read_field_csv reads either), fields with
---format json in the layout SpaceTimeField.from_json reads, structured
-reports to JSON; with --no-timestamp a rerun reproduces every output byte
-for byte.
+flags: defaults, then file values, then flags, in increasing precedence.
+Fields and controls go to CSV in the lattice layout of burgerslab.grids
+(read_field_csv reads either), structured reports to JSON; with
+--no-timestamp a rerun reproduces every output byte for byte.
 
 Every config value must have the JSON type of its DEFAULTS entry: a
 boolean, a string, or a finite number that is not a boolean (a whole one
@@ -72,8 +70,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_CHECK = 4
 
-ENV_PREFIX = "BURGERSLAB_"
-
 DEFAULTS = {
     "grid": {"nx": 64, "nt": 256, "T": 1.0},
     "initial": {"kind": "sine", "amplitude": 1.0, "mode": 1},
@@ -97,7 +93,7 @@ DEFAULTS = {
     # delta = 6*sqrt(expm1(1)/20000) = 0.0556, and Q/n by delta, which the
     # 3.2-se chi-squared test sees from 3.2*sqrt(2/n), 0.0553 at n = 6700
     "girsanov": {"n_sheets": 6700, "eps": 1e-3, "route_tol": 1e-10},
-    "output": {"dir": ".", "format": "csv"},
+    "output": {"dir": "."},
 }
 
 
@@ -146,42 +142,15 @@ def _load_file(path: str) -> dict:
     return data
 
 
-def _apply_env(cfg: dict, environ) -> dict:
-    out = copy.deepcopy(cfg)
-    for name in sorted(environ):
-        if not name.startswith(ENV_PREFIX):
-            continue
-        rest = name[len(ENV_PREFIX) :]
-        if "__" not in rest:
-            raise ConfigError(f"environment override {name} needs SECTION__KEY form")
-        sec_raw, key_raw = rest.split("__", 1)
-        section = sec_raw.lower()
-        if section not in out:
-            raise ConfigError(f"environment override {name}: unknown section")
-        match = [k for k in out[section] if k.upper() == key_raw.upper()]
-        if not match:
-            raise ConfigError(f"environment override {name}: unknown key")
-        raw = environ[name]
-        try:
-            val = json.loads(raw)
-        except json.JSONDecodeError:
-            val = raw
-        out[section][match[0]] = val
-    return out
-
-
-def assemble_config(args, environ=None) -> dict:
-    """defaults < config file < environment < flags."""
+def assemble_config(args) -> dict:
+    """defaults < config file < flags."""
     cfg = copy.deepcopy(DEFAULTS)
     if args.config:
         cfg = _merge(cfg, _load_file(args.config))
-    cfg = _apply_env(cfg, os.environ if environ is None else environ)
     if args.seed is not None:
         cfg["mc"]["seed"] = args.seed
     if args.out is not None:
         cfg["output"]["dir"] = args.out
-    if args.format is not None:
-        cfg["output"]["format"] = args.format
     return cfg
 
 
@@ -201,7 +170,6 @@ class RunConfig:
     girsanov_eps: float
     girsanov_route_tol: float
     out_dir: str
-    fmt: str
     timestamp: bool
 
 
@@ -295,9 +263,6 @@ def validate_config(cfg: dict, threads: int, timestamp: bool) -> RunConfig:
         rtol = cfg["girsanov"]["route_tol"]
         if not (n_sheets >= 2 and geps > 0 and rtol > 0):
             raise ValueError("girsanov needs n_sheets >= 2 and positive eps/route_tol")
-        fmt = cfg["output"]["format"]
-        if fmt not in ("csv", "json", "both"):
-            raise ValueError(f"output.format must be csv|json|both, got {fmt!r}")
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
     return RunConfig(
@@ -313,7 +278,6 @@ def validate_config(cfg: dict, threads: int, timestamp: bool) -> RunConfig:
         girsanov_eps=geps,
         girsanov_route_tol=rtol,
         out_dir=cfg["output"]["dir"],
-        fmt=fmt,
         timestamp=timestamp,
     )
 
@@ -348,20 +312,12 @@ def read_field_csv(path: str) -> tuple:
         raise ConfigError(f"cannot read field file {path}: {exc}") from exc
 
 
-def _emit_field(rc: RunConfig, frames: np.ndarray, stem: str) -> None:
-    if rc.fmt in ("csv", "both"):
-        _field_to_csv(frames, rc.grid, os.path.join(rc.out_dir, f"{stem}.csv"), "field")
-    if rc.fmt in ("json", "both"):
-        doc = SpaceTimeField(frames, rc.grid).to_json_dict()
-        _write_json(doc, os.path.join(rc.out_dir, f"{stem}.json"))
-
-
 # ------------------------------------------------------------- commands
 
 
 def cmd_deterministic(rc: RunConfig) -> int:
     field = solve_deterministic(rc.u0, rc.grid, rc.solver)
-    _emit_field(rc, field.frames, "solution")
+    _field_to_csv(field.frames, rc.grid, os.path.join(rc.out_dir, "solution.csv"), "field")
     summary = {
         "metadata": _metadata(rc, "deterministic"),
         "energy": frame_norms(field.frames, rc.grid).tolist(),
@@ -385,8 +341,8 @@ def cmd_simulate(rc: RunConfig, eps: float | None) -> int:
         dev_frames = np.zeros_like(u_eps.frames)
     else:
         dev_frames = deviation_field(u_eps, u_det, rc.schedule, eps).frames
-    _emit_field(rc, u_eps.frames, "solution")
-    _emit_field(rc, dev_frames, "deviation")
+    _field_to_csv(u_eps.frames, rc.grid, os.path.join(rc.out_dir, "solution.csv"), "field")
+    _field_to_csv(dev_frames, rc.grid, os.path.join(rc.out_dir, "deviation.csv"), "field")
     summary = {
         "metadata": _metadata(rc, "simulate"),
         "eps": eps,
@@ -613,7 +569,9 @@ def cmd_girsanov_check(rc: RunConfig) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON config file")
+    common.add_argument(
+        "--config", metavar="PATH", help="JSON config file; its values override the defaults"
+    )
     common.add_argument("--seed", type=int, metavar="U64", help="override mc.seed")
     common.add_argument(
         "--threads",
@@ -622,10 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker threads for mc and girsanov-check (default: available cores)",
     )
-    common.add_argument("--out", metavar="DIR", help="output directory")
-    common.add_argument(
-        "--format", choices=["csv", "json", "both"], help="field file format"
-    )
+    common.add_argument("--out", metavar="DIR", help="override output.dir")
     common.add_argument(
         "--no-timestamp",
         action="store_true",
@@ -640,6 +595,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="burgerslab",
         description="Stochastic Burgers equation laboratory",
+        epilog="A run reads only its config file and its flags; flags override file "
+        "values, which override the defaults.  Fields and controls are written "
+        "as lattice CSV.",
     )
     parser.add_argument(
         "--version", action="version", version=f"burgerslab {__version__}"

@@ -19,7 +19,6 @@ end of each step, then a row of only repr(T).
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,12 +64,17 @@ def _freeze(obj, name: str, shape: tuple, walls: bool = False) -> None:
 
 
 def _whole(x, name: str) -> int:
-    """x as an int; ValueError unless it is a whole number such as 3 or 3.0."""
-    if isinstance(x, (int, np.integer)) or (
-        isinstance(x, (float, np.floating)) and float(x).is_integer()
-    ):
-        return int(x)
-    raise ValueError(f"{name} must be a whole number, got {x!r}")
+    """x as an int; ValueError unless it is a whole number such as 3 or 3.0.
+
+    A bool is no number here, though Python counts True as 1.
+    """
+    whole = not isinstance(x, (bool, np.bool_)) and (
+        isinstance(x, (int, np.integer))
+        or (isinstance(x, (float, np.floating)) and float(x).is_integer())
+    )
+    if not whole:
+        raise ValueError(f"{name} must be a whole number, got {x!r}")
+    return int(x)
 
 
 def same_grid(g: Grid, **named) -> None:
@@ -168,23 +172,6 @@ class SpaceTimeField:
 
     def frame(self, k: int) -> SpaceField:
         return SpaceField(self.frames[k], self.grid)
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        """The JSON field layout the CLI writes; from_json reads it back."""
-        return {
-            "grid": {"nx": self.grid.nx, "nt": self.grid.nt, "T": self.grid.T},
-            "frames": self.frames.tolist(),
-        }
-
-    @staticmethod
-    def from_json(path) -> "SpaceTimeField":
-        with open(path) as fh:
-            doc = json.load(fh)
-        g = doc["grid"]
-        grid = Grid(nx=int(g["nx"]), nt=int(g["nt"]), T=float(g["T"]))
-        return SpaceTimeField(np.asarray(doc["frames"], dtype=float), grid)
 
 
 @dataclass(frozen=True)

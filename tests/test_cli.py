@@ -49,19 +49,43 @@ class TestConfig:
         assert dumped["grid"] == DEFAULTS["grid"]
 
     def test_precedence_file_env_flag(self, tmp_path, monkeypatch, capsys):
+        # file over defaults, flag over file; a BURGERSLAB_* variable is no input
         cfg = write_config(tmp_path, "c.json", {"mc": {"seed": 1}})
         monkeypatch.setenv("BURGERSLAB_MC__SEED", "2")
         assert main(["mc", "--config", cfg, "--dump-config"]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["mc"]["seed"] == 2
+        assert json.loads(capsys.readouterr().out)["mc"]["seed"] == 1
         assert main(["mc", "--config", cfg, "--seed", "3", "--dump-config"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["mc"]["seed"] == 3
 
-    def test_env_json_values(self, monkeypatch, capsys):
-        monkeypatch.setenv("BURGERSLAB_SIGMA__KIND", "constant")
-        monkeypatch.setenv("BURGERSLAB_SIGMA__PARAMS", "[0.5]")
+    def test_environment_is_not_read(self, monkeypatch, capsys):
+        monkeypatch.setenv("BURGERSLAB_MC__SEED", "2")
         assert main(["mc", "--dump-config"]) == EXIT_OK
-        sig = json.loads(capsys.readouterr().out)["sigma"]
-        assert sig == {"kind": "constant", "params": [0.5]}
+        assert json.loads(capsys.readouterr().out) == DEFAULTS
+
+    def test_environment_leaves_mc_output_unchanged(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, "c.json", {
+            "grid": {"nx": 16, "nt": 32, "T": 0.5}, "mc": {"eps_grid": [1e-2], "n_paths": 16},
+        })
+        reports = []
+        for run in ("plain", "with_variable"):
+            if run == "with_variable":
+                monkeypatch.setenv("BURGERSLAB_MC__SEED", "2")
+            out = tmp_path / run
+            assert main(["mc", "--config", cfg, "--out", str(out), "--no-timestamp"]) == EXIT_OK
+            reports.append((out / "stats.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_output_format_key_rejected(self, tmp_path, capsys):
+        # fields have one format, the lattice CSV
+        cfg = write_config(tmp_path, "c.json", {"output": {"format": "json"}})
+        assert main(["deterministic", "--config", cfg, "--dump-config"]) == EXIT_USAGE
+        assert "output.format" in capsys.readouterr().err
+
+    def test_format_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["deterministic", "--format", "json", "--dump-config"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--format" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"grid": {"nx": 8, "typo": 1}})
@@ -83,15 +107,6 @@ class TestConfig:
         assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == EXIT_USAGE
         assert "n_paths" in capsys.readouterr().err
 
-    def test_unknown_env_key_rejected(self, monkeypatch, capsys):
-        monkeypatch.setenv("BURGERSLAB_GRID__BOGUS", "1")
-        assert main(["mc", "--dump-config"]) == EXIT_USAGE
-        monkeypatch.delenv("BURGERSLAB_GRID__BOGUS")
-        monkeypatch.setenv("BURGERSLAB_KERNEL__METHOD", "spectral")
-        capsys.readouterr()
-        assert main(["kernel-check", "--dump-config"]) == EXIT_USAGE
-        assert "BURGERSLAB_KERNEL__METHOD: unknown section" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "command, key, value",
         [
@@ -100,73 +115,72 @@ class TestConfig:
             ("girsanov-check", "GIRSANOV__EPS", "inf"),
         ],
     )
-    def test_non_finite_tolerance_rejected(
-        self, tmp_path, monkeypatch, capsys, command, key, value
-    ):
+    def test_non_finite_tolerance_rejected(self, tmp_path, capsys, command, key, value):
+        # key names the file's SECTION__KEY
         g = Grid(nx=16, nt=32, T=0.25)
-        cfg = write_config(
-            tmp_path, "c.json", {"grid": {"nx": 16, "nt": 32, "T": 0.25},
-                                 "girsanov": {"n_sheets": 50}}
-        )
+        section, name = key.lower().split("__")
+        data = {"grid": {"nx": 16, "nt": 32, "T": 0.25}, "girsanov": {"n_sheets": 50}}
+        data.setdefault(section, {})[name] = float(value)
+        cfg = write_config(tmp_path, "c.json", data)
         argv = [command, "--config", cfg, "--out", str(tmp_path / "run"), "--no-timestamp"]
         if command == "rate":
             target = tmp_path / "zero.csv"
             write_lattice_csv(target, SpaceTimeField.zero(g).frames, g)
             argv += ["--target", str(target)]
-        monkeypatch.setenv(f"BURGERSLAB_{key}", value)
         assert main(argv) == EXIT_USAGE
         assert key.split("__")[1].lower() in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, env, flags, key",
         [
-            ("mc", {"MC__R": "NaN"}, [], "mc.r"),
-            ("mc", {"MC__R": "Infinity"}, [], "mc.r"),
-            ("mc", {"MC__EPS_GRID": "[NaN]"}, [], "mc.eps_grid"),
-            ("mc", {"SIGMA__PARAMS": "[NaN]"}, [], "sigma.params"),
-            ("mc", {"GRID__T": "Infinity"}, [], "grid.T"),
-            ("mc", {"MC__USE_IMPORTANCE": "true", "MC__IMPORTANCE_SCALE": "-1"}, [],
+            ("mc", {"mc": {"r": math.nan}}, [], "mc.r"),
+            ("mc", {"mc": {"r": math.inf}}, [], "mc.r"),
+            ("mc", {"mc": {"eps_grid": [math.nan]}}, [], "mc.eps_grid"),
+            ("mc", {"sigma": {"params": [math.nan]}}, [], "sigma.params"),
+            ("mc", {"grid": {"T": math.inf}}, [], "grid.T"),
+            ("mc", {"mc": {"use_importance": True, "importance_scale": -1}}, [],
              "importance_scale"),
             ("simulate", {}, ["--eps", "nan"], "eps"),
             ("simulate", {}, ["--eps", "inf"], "eps"),
             ("mc", {}, ["--seed", "-1"], "master_seed"),
             ("girsanov-check", {}, ["--seed", "-1"], "master_seed"),
             ("simulate", {}, ["--seed", "18446744073709551616"], "master_seed"),
-            ("deterministic", {"GRID__NX": "16.7"}, [], "grid.nx"),
-            ("mc", {"MC__N_PATHS": "20.9"}, [], "mc.n_paths"),
-            ("mc", {"MC__Q_LIST": "[2, 2.5]"}, [], "mc.q_list"),
-            ("mc", {"MC__SEED": "0.5"}, [], "mc.seed"),
-            ("girsanov-check", {"GIRSANOV__N_SHEETS": "100.5"}, [], "girsanov.n_sheets"),
+            ("deterministic", {"grid": {"nx": 16.7}}, [], "grid.nx"),
+            ("mc", {"mc": {"n_paths": 20.9}}, [], "mc.n_paths"),
+            ("mc", {"mc": {"q_list": [2, 2.5]}}, [], "mc.q_list"),
+            ("mc", {"mc": {"seed": 0.5}}, [], "mc.seed"),
+            ("girsanov-check", {"girsanov": {"n_sheets": 100.5}}, [], "girsanov.n_sheets"),
             # wrong JSON types, each once read by a cast as something else
-            ("mc", {"MC__USE_IMPORTANCE": "False"}, [], "mc.use_importance"),
-            ("mc", {"MC__N_PATHS": "true"}, [], "mc.n_paths"),
-            ("deterministic", {"GRID__NX": '"16"'}, [], "grid.nx"),
-            ("mc", {"SIGMA__KIND": "constant", "SIGMA__PARAMS": "[0.5, 7]"}, [],
+            ("mc", {"mc": {"use_importance": "False"}}, [], "mc.use_importance"),
+            ("mc", {"mc": {"n_paths": True}}, [], "mc.n_paths"),
+            ("deterministic", {"grid": {"nx": "16"}}, [], "grid.nx"),
+            ("mc", {"sigma": {"kind": "constant", "params": [0.5, 7]}}, [],
              "sigma.params"),
             # well-typed values a library constructor rejects, named by config key
-            ("mc", {"SCHEDULE__THETA": "null"}, [], "schedule.theta"),
+            ("mc", {"schedule": {"theta": None}}, [], "schedule.theta"),
             ("mc", {}, ["--seed", "-1"], "mc.seed"),
-            ("mc", {"SIGMA__KIND": "tabulated", "SIGMA__PARAMS": "[[0, 0.5, 1], [1, 1]]"}, [],
+            ("mc", {"sigma": {"kind": "tabulated", "params": [[0, 0.5, 1], [1, 1]]}}, [],
              "sigma.params"),
-            ("mc", {"MC__R": "-1"}, [], "mc.r"),
-            ("mc", {"MC__Q_LIST": "[1]"}, [], "mc.q_list"),
+            ("mc", {"mc": {"r": -1}}, [], "mc.r"),
+            ("mc", {"mc": {"q_list": [1]}}, [], "mc.q_list"),
         ],
     )
     def test_non_finite_or_out_of_range_number_rejected(
-        self, tmp_path, monkeypatch, capsys, command, env, flags, key
+        self, tmp_path, capsys, command, env, flags, key
     ):
-        cfg = write_config(tmp_path, "c.json", {"grid": {"nx": 16, "nt": 32, "T": 0.25}})
-        for name, value in env.items():
-            monkeypatch.setenv(f"BURGERSLAB_{name}", value)
+        # env: the config file's values on top of the grid (the name keeps the test ids)
+        data = {"grid": {"nx": 16, "nt": 32, "T": 0.25}}
+        for section, values in env.items():
+            data.setdefault(section, {}).update(values)
+        cfg = write_config(tmp_path, "c.json", data)
         out = tmp_path / "run"
         argv = [command, "--config", cfg, "--out", str(out), "--no-timestamp", *flags]
         assert main(argv) == EXIT_USAGE
         assert key in capsys.readouterr().err
         assert not any(out.glob("*"))
 
-    def test_integral_float_accepted_for_integer_key(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BURGERSLAB_GRID__NX", "16.0")
-        cfg = write_config(tmp_path, "c.json", SMALL_GRID)
+    def test_integral_float_accepted_for_integer_key(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {"grid": {**SMALL_GRID["grid"], "nx": 16.0}})
         out = tmp_path / "run"
         assert main(
             ["deterministic", "--config", cfg, "--out", str(out), "--no-timestamp"]
@@ -253,23 +267,6 @@ class TestDeterministic:
         assert main(
             ["deterministic", "--config", cfg, "--out", str(tmp_path / "x")]
         ) == EXIT_NUMERICAL
-
-    def test_format_json_and_both(self, tmp_path):
-        cfg = write_config(tmp_path, "c.json", SMALL_GRID)
-        out = tmp_path / "run"
-        assert main(
-            ["deterministic", "--config", cfg, "--out", str(out),
-             "--format", "both", "--no-timestamp"]
-        ) == EXIT_OK
-        assert (out / "solution.csv").exists()
-        payload = json.loads((out / "solution.json").read_text())
-        assert payload["grid"]["nx"] == 24
-        assert len(payload["frames"]) == 49
-        # the library reads the CLI's JSON field back, bit for bit
-        field = SpaceTimeField.from_json(out / "solution.json")
-        frames, g = read_field_csv(str(out / "solution.csv"))
-        assert field.grid == g
-        assert np.array_equal(field.frames, frames)
 
 
 class TestSimulate:

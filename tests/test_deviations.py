@@ -148,6 +148,15 @@ class TestMcConfig:
         with pytest.raises(ValueError):
             McConfig(**base)
 
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    @pytest.mark.parametrize("name", ["n_paths", "master_seed", "threads"])
+    def test_rejects_booleans(self, name, flag):
+        # True would otherwise count as 1
+        kwargs = dict(eps_grid=(1e-2,), n_paths=10, threshold=0.1)
+        kwargs[name] = flag
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            McConfig(**kwargs)
+
     def test_integral_floats_stored_as_int(self):
         mc = McConfig(
             eps_grid=(1e-2,), n_paths=20.0, threshold=0.1,

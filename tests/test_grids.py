@@ -1,11 +1,8 @@
 """Lattice, field, and norm contracts."""
-import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from burgerslab.cli import _emit_field
 from burgerslab.grids import (
     Control,
     DimensionError,
@@ -308,19 +305,3 @@ def test_csv_layout(tmp_path):
     assert len(rows) == g.nt + 2
     assert float(rows[1].split(",")[0]) == 0.0
     assert float(rows[-1].split(",")[0]) == 1.0
-
-
-def test_json_round_trip(tmp_path):
-    g = Grid(nx=8, nt=6, T=0.75)
-    rng = np.random.default_rng(RNG_SEED + 7)
-    frames = rng.standard_normal((g.nt + 1, g.nx + 1))
-    frames[:, 0] = frames[:, -1] = 0.0
-    u = SpaceTimeField(frames, g)
-    # the CLI's field writer; from_json is its reader
-    _emit_field(SimpleNamespace(fmt="json", grid=g, out_dir=str(tmp_path)), frames, "field")
-    p = tmp_path / "field.json"
-    doc = json.loads(p.read_text())
-    assert doc["grid"] == {"nx": 8, "nt": 6, "T": 0.75}
-    back = SpaceTimeField.from_json(p)
-    assert back.grid == g
-    assert np.array_equal(back.frames, u.frames)

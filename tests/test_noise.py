@@ -33,6 +33,16 @@ def test_seed_spec_rejects_fractional_seeds(master_seed, path_index):
         SeedSpec(master_seed, path_index)
 
 
+@pytest.mark.parametrize(
+    "master_seed, path_index, name",
+    [(True, 0, "master_seed"), (3, False, "path_index"), (np.True_, 0, "master_seed")],
+)
+def test_seed_spec_rejects_booleans(master_seed, path_index, name):
+    # SeedSpec(True, False) would otherwise be seed 1, path 0
+    with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+        SeedSpec(master_seed, path_index)
+
+
 def test_seed_spec_accepts_whole_floats():
     s = SeedSpec(3.0, np.float64(5.0))
     assert (s.master_seed, s.path_index) == (3, 5)

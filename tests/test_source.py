@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import burgerslab
+from burgerslab.grids import Control, SpaceField, SpaceTimeField
 
 
 def test_no_assert_statements():
@@ -165,6 +166,53 @@ def test_one_json_writer():
         for path in Path(burgerslab.__file__).parent.glob("*.py")
     }
     assert {name: n for name, n in counts.items() if n} == {"cli.py": 1}
+
+
+def test_one_config_channel():
+    # a run reads only its config file and its flags: no module reads the environment
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(Path(burgerslab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = node.name if isinstance(node, ast.alias) else getattr(node, "attr", None)
+            if name in names:
+                found.append((path.name, node.lineno))
+    assert found == []
+
+
+def _write_opens(tree: ast.AST) -> set:
+    """Names of the functions in tree that open a file with a write mode."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                given = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+                modes = [a.value for a in given if isinstance(a, ast.Constant)]
+                if any("w" in m for m in modes):
+                    found.add(func.name)
+    return found
+
+
+def test_one_field_format():
+    # a field's one on-disk form is the lattice CSV: the lattice types carry no
+    # JSON serializer or reader, grids.write_lattice_csv writes every field and
+    # control, and cli._field_to_csv alone calls it
+    for cls in (SpaceField, SpaceTimeField, Control):
+        assert [n for n in dir(cls) if "json" in n.lower()] == []
+    writers, callers = set(), set()
+    for path in sorted(Path(burgerslab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        writers |= {(path.name, name) for name in _write_opens(tree)}
+        sites = _CallSites({"write_lattice_csv"})
+        sites.visit(tree)
+        callers |= {(path.name, scope) for _, scope in sites.found}
+    # the JSON reports, the MC statistics table, the lattice CSV
+    assert writers == {
+        ("cli.py", "_write_json"), ("deviations.py", "to_csv"), ("grids.py", "write_lattice_csv"),
+    }
+    assert callers == {("cli.py", "_field_to_csv")}
 
 
 def _exporting_modules() -> list:
