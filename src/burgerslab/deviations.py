@@ -52,6 +52,10 @@ CHUNK_SIZE = 64
 SHEET_BLOCK_ROWS = 32
 MAX_FAILED_FRACTION = 0.01
 MIN_IMPORTANCE_HITS = 10
+# Multiplier on the auto-calibrated tilt; 1.0 puts the mean response at the threshold.
+# The half-tilt trades some variance reduction for robustness: stronger tilts make the
+# weight spread exceed what moderate path counts can average over sup-norm events.
+IMPORTANCE_SCALE = 0.5
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ def deviation_field(
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo settings; every ValueError starts with the field it rejects."""
+    """Monte Carlo settings (the tilt is IMPORTANCE_SCALE); a ValueError starts with its field."""
 
     eps_grid: tuple
     n_paths: int
@@ -123,11 +127,6 @@ class McConfig:
     moment_orders: tuple = (2,)
     master_seed: int = 0
     use_importance: bool = False
-    # Multiplier on the auto-calibrated tilt (1.0 puts the mean response at
-    # the threshold).  The default half-tilt trades some variance reduction
-    # for robustness: stronger tilts make the weight spread exceed what
-    # moderate path counts can average over sup-norm events.
-    importance_scale: float = 0.5
     threads: int = 1
 
     def __post_init__(self):
@@ -145,8 +144,6 @@ class McConfig:
             raise ValueError("master_seed must lie in [0, 2**64)")
         if not 0 < self.threshold < math.inf:
             raise ValueError("threshold must be positive and finite")
-        if not 0 < self.importance_scale < math.inf:
-            raise ValueError("importance_scale must be positive and finite")
         orders = tuple(_whole(q, "moment_orders") for q in self.moment_orders)
         object.__setattr__(self, "moment_orders", orders)
         if any(q < 2 for q in orders):
@@ -292,7 +289,7 @@ def _importance_pass(
     change of measure under which the deviation field acquires the mean
     push given by the skeleton response to v.  The profile's strength is
     calibrated so that this response sits at the threshold (times
-    mc.importance_scale): tilting past the threshold is the classical
+    IMPORTANCE_SCALE): tilting past the threshold is the classical
     failure mode where rare large-weight crossings dominate the
     expectation, while tilting to it makes roughly half the paths cross
     with bounded weights.  Each path is reweighted by the exponential
@@ -309,7 +306,7 @@ def _importance_pass(
     unit_sup = sup_t_l2(response, g)
     if unit_sup == 0.0:
         return []
-    strength = mc.importance_scale * mc.threshold / unit_sup
+    strength = IMPORTANCE_SCALE * mc.threshold / unit_sup
     v_vals = strength * profile
     a_vals = np.array([sched.a(e) for e in eps_values])[:, None]
     h_vals = np.array([sched.h(e) for e in eps_values])[:, None]

@@ -37,6 +37,8 @@ from .solvers import _FULL_LATTICE, SkeletonContext, _skeleton_adjoint, _skeleto
 # solve_deterministic is not called here; perfbench/child.py BOUNDARIES still wraps it
 from .solvers import _skeleton_preimage, heat_solve, solve_deterministic
 
+RATE_TOL = 1e-6  # rate_value's stopping tolerance, which `burgerslab rate` uses
+
 
 def apply_forward(v: Control, ctx: SkeletonContext) -> SpaceTimeField:
     """Response field of a control: the zero-noise deviation it forces."""
@@ -136,7 +138,7 @@ def _cgls(ctx: SkeletonContext, target: np.ndarray, threshold: float, max_iter: 
 def rate_value(
     f: SpaceTimeField,
     ctx: SkeletonContext,
-    tol: float = 1e-6,
+    tol: float = RATE_TOL,
     max_iter: int = 2000,
 ) -> RateResult:
     """Least control energy whose response matches the target profile.
@@ -152,9 +154,9 @@ def rate_value(
     sigma(u_det) vanishes, is taken however rough when it is finite (a) and
     reproduces the target within that threshold under one forward sweep
     (b); then iterations is 1 and residual_history is (|f|, |f - A v|).
-    A target with no preimage goes to CGLS, which max_iter bounds, and is
-    flagged as not attained — the discrete stand-in for an infinite
-    energy — and reported with the last CGLS iterate.
+    A target with no preimage goes to CGLS, for at most max_iter iterations
+    (2000 in `burgerslab rate`), and is flagged as not attained — the
+    discrete stand-in for an infinite energy — with the last CGLS iterate.
     """
     g = ctx.grid
     same_grid(g, f=f)

@@ -81,6 +81,24 @@ class TestConfig:
         assert main(["deterministic", "--config", cfg, "--dump-config"]) == EXIT_USAGE
         assert "output.format" in capsys.readouterr().err
 
+    # former config keys, now constants in the code they bound, with their old defaults
+    REMOVED_KEYS = {"mc.importance_scale": 0.5, "solver.fp_tol": 1e-4, "solver.fp_max_iter": 40,
+                    "rate.tol": 1e-6, "rate.max_iter": 2000, "girsanov.eps": 1e-3,
+                    "girsanov.route_tol": 1e-10}
+
+    def test_config_surface(self):
+        assert list(DEFAULTS) == [
+            "grid", "initial", "sigma", "schedule", "mc", "girsanov", "output"
+        ]
+        assert sum(len(keys) for keys in DEFAULTS.values()) == 18
+
+    @pytest.mark.parametrize("key", list(REMOVED_KEYS))
+    def test_removed_key_rejected(self, tmp_path, capsys, key):
+        section, name = key.split(".")
+        cfg = write_config(tmp_path, "c.json", {section: {name: self.REMOVED_KEYS[key]}})
+        assert main(["mc", "--config", cfg, "--dump-config"]) == EXIT_USAGE
+        assert f"unknown config key: {key}\n" in capsys.readouterr().err
+
     def test_format_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["deterministic", "--format", "json", "--dump-config"])
@@ -108,29 +126,6 @@ class TestConfig:
         assert "n_paths" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command, key, value",
-        [
-            ("rate", "RATE__TOL", "inf"),
-            ("girsanov-check", "GIRSANOV__ROUTE_TOL", "NaN"),
-            ("girsanov-check", "GIRSANOV__EPS", "inf"),
-        ],
-    )
-    def test_non_finite_tolerance_rejected(self, tmp_path, capsys, command, key, value):
-        # key names the file's SECTION__KEY
-        g = Grid(nx=16, nt=32, T=0.25)
-        section, name = key.lower().split("__")
-        data = {"grid": {"nx": 16, "nt": 32, "T": 0.25}, "girsanov": {"n_sheets": 50}}
-        data.setdefault(section, {})[name] = float(value)
-        cfg = write_config(tmp_path, "c.json", data)
-        argv = [command, "--config", cfg, "--out", str(tmp_path / "run"), "--no-timestamp"]
-        if command == "rate":
-            target = tmp_path / "zero.csv"
-            write_lattice_csv(target, SpaceTimeField.zero(g).frames, g)
-            argv += ["--target", str(target)]
-        assert main(argv) == EXIT_USAGE
-        assert key.split("__")[1].lower() in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
         "command, env, flags, key",
         [
             ("mc", {"mc": {"r": math.nan}}, [], "mc.r"),
@@ -138,8 +133,7 @@ class TestConfig:
             ("mc", {"mc": {"eps_grid": [math.nan]}}, [], "mc.eps_grid"),
             ("mc", {"sigma": {"params": [math.nan]}}, [], "sigma.params"),
             ("mc", {"grid": {"T": math.inf}}, [], "grid.T"),
-            ("mc", {"mc": {"use_importance": True, "importance_scale": -1}}, [],
-             "importance_scale"),
+            ("girsanov-check", {"girsanov": {"n_sheets": 1}}, [], "girsanov.n_sheets"),
             ("simulate", {}, ["--eps", "nan"], "eps"),
             ("simulate", {}, ["--eps", "inf"], "eps"),
             ("mc", {}, ["--seed", "-1"], "master_seed"),
@@ -374,8 +368,8 @@ class TestKernelCheck:
     def test_mild_contraction_failure_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "grid": {"nx": 32, "nt": 64, "T": 0.25},
-            "initial": {"kind": "sine", "amplitude": 25.0, "mode": 1},
-            "solver": {"fp_max_iter": 12},
+            # the default 40 sweeps contract at amplitude 25 (in 22), not at 40
+            "initial": {"kind": "sine", "amplitude": 40.0, "mode": 1},
         })
         assert main(
             ["kernel-check", "--config", cfg, "--out", str(tmp_path / "run"), "--no-timestamp"]
@@ -389,7 +383,7 @@ class TestKernelCheck:
 
 
 class TestRate:
-    CFG = {"grid": {"nx": 16, "nt": 48, "T": 0.25}, "rate": {"tol": 1e-6, "max_iter": 600}}
+    CFG = {"grid": {"nx": 16, "nt": 48, "T": 0.25}}
 
     def _target(self, tmp_path, scale=0.5, sigma=SigmaSpec.cosine(1.0)):
         g = Grid(nx=16, nt=48, T=0.25)
@@ -559,7 +553,7 @@ class TestGirsanovCheck:
             "c.json",
             {
                 "grid": {"nx": 16, "nt": 32, "T": 0.5},
-                "girsanov": {"n_sheets": 500, "eps": 1e-3, "route_tol": 5e-2},
+                "girsanov": {"n_sheets": 500},
             },
         )
         out = tmp_path / "run"
@@ -571,19 +565,19 @@ class TestGirsanovCheck:
         assert report["mean_within_3se"] is True
         assert report["route_gap"] <= report["route_tol"]
 
-    def test_impossible_route_tol_fails_check(self, tmp_path):
+    def test_impossible_route_tol_fails_check(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "GIRSANOV_ROUTE_TOL", 1e-18)
         cfg = write_config(
             tmp_path,
             "c.json",
-            {
-                "grid": {"nx": 16, "nt": 32, "T": 0.5},
-                "girsanov": {"n_sheets": 200, "eps": 1e-3, "route_tol": 1e-18},
-            },
+            {"grid": {"nx": 16, "nt": 32, "T": 0.5}, "girsanov": {"n_sheets": 200}},
         )
         assert main(
             ["girsanov-check", "--config", cfg, "--out", str(tmp_path / "x"),
              "--no-timestamp"]
         ) == EXIT_CHECK
+        report = json.loads((tmp_path / "x" / "girsanov_report.json").read_text())
+        assert (report["route_tol"], report["route_pass"]) == (1e-18, False)
 
     @pytest.mark.parametrize("mutated", [False, True], ids=["dtdx", "wall_weights"])
     def test_variance_test_catches_wall_weighted_density(self, tmp_path, monkeypatch, mutated):
@@ -780,7 +774,12 @@ class TestThreads:
             ["girsanov-check", "--config", cfg, "--out", str(out),
              "--threads", "2", "--no-timestamp"]
         ) == EXIT_CHECK
-        report = json.loads((out / "girsanov_report.json").read_text())
-        assert math.isnan(report["mean"])
+
+        def strict(token):
+            raise ValueError(f"{token} is not JSON")
+
+        # strict JSON: the NaN mean is written as null
+        report = json.loads((out / "girsanov_report.json").read_text(), parse_constant=strict)
+        assert report["mean"] is None
         assert report["mean_within_3se"] is False
         assert report["variance_pass"] is False

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from burgerslab import deviations
 from burgerslab.deviations import (
     CHUNK_SIZE,
     DeviationStats,
@@ -130,8 +131,8 @@ class TestMcConfig:
             {"eps_grid": (float("nan"),)},
             {"threshold": float("nan")},
             {"threshold": float("inf")},
-            {"importance_scale": -1.0},
-            {"importance_scale": float("inf")},
+            {"threshold": -0.1},
+            {"eps_grid": (1e-2, -1e-3)},
             {"master_seed": -1},
             {"master_seed": 2**64},
             {"n_paths": 20.9},
@@ -377,9 +378,10 @@ class TestImportanceSampling:
         assert 2e-4 <= rec.p_hat <= 2e-2
         assert rec.ci_low <= rec.p_hat <= rec.ci_high
 
-    def test_weak_tilt_tracks_plain_estimate(self):
+    def test_weak_tilt_tracks_plain_estimate(self, monkeypatch):
         plain = self._run()
-        rec = self._run(use_importance=True, importance_scale=0.05)
+        monkeypatch.setattr(deviations, "IMPORTANCE_SCALE", 0.05)
+        rec = self._run(use_importance=True)
         assert rec.method == "importance"
         # a nearly-flat tilt reweights the same rare region: same decade,
         # overlapping confidence intervals
@@ -457,8 +459,6 @@ class TestChunkedPasses:
         )
 
     def test_importance_draws_each_sheet_once_per_pass(self, monkeypatch):
-        from burgerslab import deviations
-
         keys = []
         real = deviations._sheet_blocks
 
@@ -473,9 +473,10 @@ class TestChunkedPasses:
         assert len(keys) == 2 * 128
         assert sorted(keys) == sorted(list(range(128)) * 2)
 
-    def test_dropped_tilted_paths_invalidate_record(self):
+    def test_dropped_tilted_paths_invalidate_record(self, monkeypatch):
         # a tilt 1e5 times the calibrated one blows every tilted path up
-        stats = self._stats(16, 32, 64, importance_scale=1e5)
+        monkeypatch.setattr(deviations, "IMPORTANCE_SCALE", 1e5)
+        stats = self._stats(16, 32, 64)
         for rec in stats.records:
             assert rec.method == "importance"
             assert rec.failed_fraction == 1.0
